@@ -203,8 +203,14 @@ def parse_config(argv) -> RunConfig:
     state_spec = merged.get("state")
     out = merged.get("out")
 
-    if ns.scenario in ("spread", "ehrenfest") and not state_spec:
-        raise ConfigError(f"scenario '{ns.scenario}' requires a state spec", field="state")
+    if ns.scenario in ("spread", "ehrenfest"):
+        if not state_spec:
+            raise ConfigError(f"scenario '{ns.scenario}' requires a state spec", field="state")
+        if grid.steps < 3:
+            raise ConfigError(
+                f"scenario '{ns.scenario}' needs steps >= 3 for its time derivatives, got {grid.steps}",
+                field="steps",
+            )
     if ns.scenario == "commutator" and 4 * block > well.N:
         raise ConfigError(f"block {block} needs N >= {4 * block}, got N={well.N}", field="block")
     if ns.scenario.startswith("fock"):
@@ -368,8 +374,16 @@ def _run_revival(rc: RunConfig):
     return columns, [row], {"dim": cfg.N}
 
 
+def _fock_basis(rc: RunConfig) -> FockBasis:
+    try:
+        return FockBasis(rc.modes, rc.statistics, rc.cutoff)
+    except ValueError as e:
+        field = "cutoff" if "cutoff" in str(e) else "modes"
+        raise ConfigError(str(e), field=field) from None
+
+
 def _fock_basis_and_state(rc: RunConfig):
-    basis = FockBasis(rc.modes, rc.statistics, rc.cutoff)
+    basis = _fock_basis(rc)
     if rc.statistics is Statistics.BOSON:
         state = condensate_state(basis, rc.particles)
     else:
@@ -396,7 +410,7 @@ def _run_fock_density(rc: RunConfig):
 
 
 def _run_fock_algebra(rc: RunConfig):
-    basis = FockBasis(rc.modes, rc.statistics, rc.cutoff)
+    basis = _fock_basis(rc)
     rep = check_algebra(basis)
     columns = [
         "statistics", "modes", "cutoff",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
@@ -23,7 +22,11 @@ from .operators import (
     commutator,
     evolve,
 )
-from .well import WellConfig, wavenumber
+from .well import WellConfig, sine_coefficients
+
+# Time samples per block of Schrodinger columns: bounds the N x block work
+# arrays while keeping each operator product a matrix-matrix product.
+_SERIES_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -148,36 +151,29 @@ class RunReport:
         return self.data[:, self.COLUMNS.index(name)]
 
 
-def _overlap_with_mode(cfg: WellConfig, n: int, f) -> complex:
-    """sqrt(2/L) * integral of f(x) sin(k_n x) over [0, L] by oscillatory quadrature."""
-    w = wavenumber(cfg, n)
-    re, _ = integrate.quad(lambda x: np.real(f(x)), 0.0, cfg.L, weight="sin", wvar=w, limit=400)
-    im, _ = integrate.quad(lambda x: np.imag(f(x)), 0.0, cfg.L, weight="sin", wvar=w, limit=400)
-    return math.sqrt(2.0 / cfg.L) * (re + 1j * im)
+def _captured(coeffs: np.ndarray, norm2: float) -> float:
+    if norm2 <= 0:
+        raise ValueError("wavefunction has zero norm on [0, L]")
+    return float(np.sum(np.abs(coeffs) ** 2)) / norm2
 
 
 def projection_capture(cfg: WellConfig, f) -> float:
-    """Fraction of |f|^2 norm captured by the first N modes."""
-    total, _ = integrate.quad(lambda x: abs(f(x)) ** 2, 0.0, cfg.L, limit=400)
-    if total <= 0:
-        raise ValueError("wavefunction has zero norm on [0, L]")
-    captured = sum(abs(_overlap_with_mode(cfg, n, f)) ** 2 for n in range(1, cfg.N + 1))
-    return captured / total
+    """Fraction of |f|^2 norm captured by the first N modes; `f` must accept an array."""
+    return _captured(*sine_coefficients(cfg, f))
 
 
 def project_wavefunction(cfg: WellConfig, f, min_capture: float | None = 0.999) -> StateVector:
     """Project a wavefunction f(x) onto the retained modes and normalize.
 
-    Raises ProjectionError when the first N modes capture less than
-    `min_capture` of the norm of f (the truncation would silently distort
-    the state).  Pass min_capture=None to skip the check.
+    `f` is sampled once on an array of quadrature nodes (see
+    `well.sine_coefficients`).  Raises ProjectionError when the first N
+    modes capture less than `min_capture` of the norm of f (the truncation
+    would silently distort the state).  Pass min_capture=None to skip the
+    check.
     """
-    raw = np.array([_overlap_with_mode(cfg, n, f) for n in range(1, cfg.N + 1)])
+    raw, norm2 = sine_coefficients(cfg, f)
     if min_capture is not None:
-        total, _ = integrate.quad(lambda x: abs(f(x)) ** 2, 0.0, cfg.L, limit=400)
-        if total <= 0:
-            raise ValueError("wavefunction has zero norm on [0, L]")
-        captured = float(np.sum(np.abs(raw) ** 2)) / total
+        captured = _captured(raw, norm2)
         if captured < min_capture:
             raise ProjectionError(
                 f"first {cfg.N} modes capture {captured:.6f} < {min_capture} of the norm;"
@@ -219,11 +215,12 @@ def expectation(state: StateVector, op: OperatorMatrix) -> complex:
     return complex(np.vdot(state.coeffs, op.entries @ state.coeffs))
 
 
-def _std_from_moments(second: float, mean: float, what: str) -> float:
-    var = second - mean * mean
-    if var < -1e-12:
-        raise InvariantViolation(f"negative variance {var:.3e} for {what}")
-    return math.sqrt(max(var, 0.0))
+def _std_from_moments(second, mean, what: str):
+    """sqrt(<O^2> - <O>^2), elementwise for arrays of moments."""
+    var = np.asarray(second - mean * mean)
+    if np.any(var < -1e-12):
+        raise InvariantViolation(f"negative variance {var.min():.3e} for {what}")
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def dispersion(state: StateVector, op: OperatorMatrix) -> float:
@@ -235,7 +232,7 @@ def dispersion(state: StateVector, op: OperatorMatrix) -> float:
     w = op.entries @ state.coeffs
     mean = float(np.real(np.vdot(state.coeffs, w)))
     second = float(np.real(np.vdot(w, w)))
-    return _std_from_moments(second, mean, "dispersion")
+    return float(_std_from_moments(second, mean, "dispersion"))
 
 
 def revival_time(cfg: WellConfig) -> float:
@@ -262,45 +259,50 @@ def xt_x0_commutator(cfg: WellConfig, t: float) -> OperatorMatrix:
 
 
 def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: dict) -> RunReport:
+    """Schrodinger-picture columns C = a exp(-i n^2 omega_1 t), _SERIES_BLOCK samples at a time.
+
+    <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C per
+    operator and block replaces a phase matrix per sample.  The phase is
+    the integer n^2 times the one float omega_1 t, which lands on multiples
+    of 2 pi at the revival time.
+    """
     if state.dim != cfg.N:
         raise ValueError(f"state dimension {state.dim} does not match cfg.N={cfg.N}")
+    if grid.steps < 3:
+        raise ValueError(
+            f"series reports need steps >= 3 for second-order differences, got {grid.steps}"
+        )
     x = build_position(cfg).entries
     p = build_momentum(cfg).entries
-    d = _phase_exponents(cfg)
-    om1 = cfg.base_frequency
-    f0 = -1j * (d * om1) * p
+    f0 = -1j * (_phase_exponents(cfg) * cfg.base_frequency) * p
+    n2 = cfg.mode_numbers() ** 2
 
     a = state.coeffs
     u0 = x @ a
     x0_mean = float(np.real(np.vdot(a, u0)))
-    dx0 = _std_from_moments(float(np.real(np.vdot(u0, u0))), x0_mean, "dx(0)")
+    dx0 = float(_std_from_moments(float(np.real(np.vdot(u0, u0))), x0_mean, "dx(0)"))
 
     times = grid.times()
     cols = np.empty((times.size, len(RunReport.COLUMNS)))
     f_means = np.empty(times.size)
-    for i, t in enumerate(times):
-        ph = np.exp(1j * (d * (om1 * t)))
-        wx = (x * ph) @ a
-        wp = (p * ph) @ a
-        wf = (f0 * ph) @ a
-        x_mean = float(np.real(np.vdot(a, wx)))
-        p_mean = float(np.real(np.vdot(a, wp)))
-        f_means[i] = float(np.real(np.vdot(a, wf)))
-        dx = _std_from_moments(float(np.real(np.vdot(wx, wx))), x_mean, "dx(t)")
-        dp = _std_from_moments(float(np.real(np.vdot(wp, wp))), p_mean, "dp(t)")
-        robertson = abs(float(np.imag(np.vdot(wx, u0))))
-        cols[i] = (
-            t,
-            x_mean,
-            p_mean,
-            dx,
-            dp,
-            dx0,
-            robertson,
-            cfg.hbar * abs(t) / (2.0 * cfg.m),
-            0.0,
-            0.0,
-        )
+    for lo in range(0, times.size, _SERIES_BLOCK):
+        block = slice(lo, lo + _SERIES_BLOCK)
+        phase = np.exp(-1j * (n2[:, None] * (cfg.base_frequency * times[None, block])))
+        c = a[:, None] * phase
+        wx, wp, wf = x @ c, p @ c, f0 @ c
+        cc = c.conj()
+        x_mean = np.real(np.sum(cc * wx, axis=0))
+        p_mean = np.real(np.sum(cc * wp, axis=0))
+        f_means[block] = np.real(np.sum(cc * wf, axis=0))
+        cols[block, 1] = x_mean
+        cols[block, 2] = p_mean
+        cols[block, 3] = _std_from_moments(np.sum(np.abs(wx) ** 2, axis=0), x_mean, "dx(t)")
+        cols[block, 4] = _std_from_moments(np.sum(np.abs(wp) ** 2, axis=0), p_mean, "dp(t)")
+        # <x(t) x(0)> = (X C)^dagger (phase * X a)
+        cols[block, 6] = np.abs(np.imag(np.sum(wx.conj() * (phase * u0[:, None]), axis=0)))
+    cols[:, 0] = times
+    cols[:, 5] = dx0
+    cols[:, 7] = cfg.hbar * np.abs(times) / (2.0 * cfg.m)
 
     h = grid.spacing
     dxdt = np.gradient(cols[:, 1], h, edge_order=2)

@@ -10,14 +10,12 @@ capped at desk scale.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
-from .well import WellConfig, eigenfunction, mode_frequency
+from .well import WellConfig, eigenfunction, mode_frequency, sine_coefficients
 
 _MAX_DIMENSION = 32768
 
@@ -322,16 +320,13 @@ def completeness_defect(cfg: WellConfig, f, modes: int) -> float:
     K_M(x, x') = sum_{n<=M} psi_n(x) psi_n(x') should reproduce
     integral f^2 as M grows; returns the relative shortfall
     |sum_{n<=M} c_n^2 - integral f^2| / integral f^2 with
-    c_n = integral f psi_n.
+    c_n = integral f psi_n (`well.sine_coefficients`, so `f` must accept
+    an array).
     """
     if int(modes) != modes or not (1 <= modes <= cfg.N):
         raise ValueError(f"modes must be an integer in 1..{cfg.N}")
-    total, _ = integrate.quad(lambda x: f(x) ** 2, 0.0, cfg.L, limit=400)
+    coeffs, total = sine_coefficients(cfg, f)
     if total <= 0:
         raise ValueError("test function has zero norm on [0, L]")
-    acc = 0.0
-    for n in range(1, modes + 1):
-        w = n * math.pi / cfg.L
-        c, _ = integrate.quad(lambda x: f(x), 0.0, cfg.L, weight="sin", wvar=w, limit=400)
-        acc += (2.0 / cfg.L) * c * c
+    acc = float(np.sum(np.abs(coeffs[: int(modes)]) ** 2))
     return abs(acc - total) / total

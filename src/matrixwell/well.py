@@ -17,6 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Composite Gauss-Legendre rule of sine_coefficients: nodes per panel, the
+# fewest panels, and the modes whose sine rows are formed at once (a full
+# N x nodes sine block would dominate peak memory at desk-scale N).
+_GL_ORDER = 24
+_GL_MIN_PANELS = 64
+_SINE_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -76,6 +83,35 @@ def eigenfunction(cfg: WellConfig, n: int, x):
         raise ValueError(f"position outside the well [0, {cfg.L}]")
     out = math.sqrt(2.0 / cfg.L) * np.sin(wavenumber(cfg, n) * xv)
     return float(out) if np.isscalar(x) else out
+
+
+def sine_coefficients(cfg: WellConfig, f) -> tuple[np.ndarray, float]:
+    """Coefficients c_n = integral f psi_n over [0, L] for n = 1..N, and integral |f|^2.
+
+    Composite Gauss-Legendre quadrature: max(64, N) equal panels of 24
+    nodes, so every panel holds at most half a period of sin(k_N x) and the
+    rule is exact to rounding for the products psi_k psi_l it sees.  `f` is
+    called once, on the whole node array, and must accept an array of
+    positions inside (0, L); it may return complex values.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    panels = max(_GL_MIN_PANELS, cfg.N)
+    h = cfg.L / panels
+    x = (np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0)).ravel()
+    w = np.tile(weights * (h / 2.0), panels)
+    fx = np.asarray(f(x), dtype=complex)
+    norm2 = float(w @ (fx.real**2 + fx.imag**2))
+    wf = np.stack([w * fx.real, w * fx.imag], axis=1)
+    coeffs = np.empty(cfg.N, dtype=complex)
+    block = np.empty((min(_SINE_CHUNK, cfg.N), x.size))
+    for start in range(0, cfg.N, _SINE_CHUNK):
+        k = np.arange(start + 1, min(start + _SINE_CHUNK, cfg.N) + 1) * (math.pi / cfg.L)
+        sines = block[: k.size]
+        np.multiply.outer(k, x, out=sines)
+        np.sin(sines, out=sines)
+        re_im = sines @ wf
+        coeffs[start : start + k.size] = re_im[:, 0] + 1j * re_im[:, 1]
+    return math.sqrt(2.0 / cfg.L) * coeffs, norm2
 
 
 def eigen_energy(cfg: WellConfig, n: int) -> float:

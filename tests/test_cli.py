@@ -228,3 +228,18 @@ class TestFailureModes:
         assert code == 2
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["field"] == "state"
+
+    @pytest.mark.parametrize("scenario", ["spread", "ehrenfest"])
+    def test_two_steps_refused_for_series(self, scenario, capsys):
+        code = run_cli([scenario, "--N", "20", "--state", "eigen:1", "--steps", "2"])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == "steps"
+
+    def test_oversized_fock_basis_refused(self, capsys):
+        code = run_cli(["fock-algebra", "--modes", "20"])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == "modes"

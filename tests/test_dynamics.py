@@ -30,7 +30,7 @@ from matrixwell import (
 )
 from matrixwell.well import eigenfunction
 
-from oracles import two_mode_dx_truncated, x2_eigen_quad
+from oracles import gaussian_whole_line_coefficients, two_mode_dx_truncated, x2_eigen_quad
 
 
 @pytest.fixture
@@ -103,6 +103,17 @@ class TestGaussianPacket:
             gaussian_packet(cfg, -0.5, 0.05)
         with pytest.raises(ValueError):
             gaussian_packet(cfg, 0.5, cfg.L)
+
+    @pytest.mark.parametrize(
+        "L, center, width, k0L",
+        [(0.701546, 0.350453, 0.031215, 0.0), (1.0, 0.5, 0.035, 35.0)],
+    )
+    def test_matches_whole_line_transform(self, L, center, width, k0L):
+        # per-mode adaptive quad(weight="sin") misses mode 98 of the first packet by 1.2e-7
+        cfg = WellConfig(L=L, N=200)
+        s = gaussian_packet(cfg, center, width, mean_momentum=cfg.hbar * k0L / L)
+        expect = gaussian_whole_line_coefficients(L, cfg.N, center, width, k0L / L)
+        assert np.abs(s.coeffs - expect).max() < 1e-12
 
     def test_mean_momentum_shifts_p_expectation(self, cfg):
         p = build_momentum(cfg)
@@ -258,6 +269,10 @@ class TestSpreadReport:
         t_r = revival_time(cfg)
         rep = spread_report(packet, cfg, TimeGrid(0.0, t_r, 41))
         assert abs(rep.column("dx")[-1] - rep.column("dx0")[-1]) < 1e-9
+
+    def test_two_samples_refused(self, cfg):
+        with pytest.raises(ValueError, match="steps"):
+            spread_report(StateVector.eigenstate(1, cfg.N), cfg, TimeGrid(0.0, 1.0, 2))
 
     def test_robertson_bound_holds_on_every_row(self):
         cfg = WellConfig(N=120)

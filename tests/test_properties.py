@@ -1,0 +1,92 @@
+"""Property tests of the series engine on random states (N <= 64).
+
+The example sequence is fixed (`derandomize`), so every run of the suite
+tests the same states.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matrixwell import (
+    StateVector,
+    TimeGrid,
+    WellConfig,
+    ehrenfest_report,
+    force_matrix,
+    revival_time,
+)
+
+from oracles import heisenberg_series
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+# <x>, <p>, dx, dp, dx0 and the Robertson term depend on the state alone, so
+# they repeat at t_r; the residuals use one-sided differences at the two ends
+STATE_COLUMNS = slice(1, 7)
+
+
+@st.composite
+def well_and_state(draw):
+    """A well with random scales and a random state on its lowest N/4 modes.
+
+    The support stays clear of the truncation edge, where the truncated
+    x and p no longer obey dx dp >= hbar/2 and the report refuses.
+    """
+    scale = st.floats(0.5, 2.0)
+    cfg = WellConfig(L=draw(scale), m=draw(scale), hbar=draw(scale), N=draw(st.integers(8, 64)))
+    support = draw(st.integers(1, cfg.N // 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = np.zeros(cfg.N, dtype=complex)
+    coeffs[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
+    return cfg, StateVector(coeffs)
+
+
+def _scales(report, cfg, state):
+    """Size of the terms each column is formed from, for relative tolerances.
+
+    The residuals difference <x> and <p> over one grid step h, so their
+    rounding is that of L/h and p_rms/h; <dV/dx> is bounded by
+    sum |a_k| |F_kl| |a_l|.
+    """
+    d = report.data
+    h = d[1, 0] - d[0, 0]
+    p_rms = float(np.sqrt((d[:, 2] ** 2 + d[:, 4] ** 2).max()))
+    a = np.abs(state.coeffs)
+    force = float(a @ np.abs(force_matrix(cfg, 0.0).entries) @ a)
+    L = cfg.L
+    return np.array(
+        [d[-1, 0], L, p_rms, L, p_rms, L, L * L, d[-1, 7], L / h + p_rms / cfg.m, p_rms / h + force]
+    )
+
+
+@PROPERTY
+@given(well_and_state(), st.floats(0.05, 1.0), st.integers(3, 41))
+def test_batched_engine_matches_heisenberg_loop(drawn, span, steps):
+    cfg, state = drawn
+    grid = TimeGrid(0.0, span * revival_time(cfg), steps)
+    report = ehrenfest_report(state, cfg, grid)
+    expect = heisenberg_series(state, cfg, grid)
+    err = np.abs(report.data - expect) / _scales(report, cfg, state)
+    assert err.max() <= 1e-12, dict(zip(report.COLUMNS, err.max(axis=0)))
+
+
+@PROPERTY
+@given(well_and_state(), st.integers(1, 20))
+def test_mirror_image_at_half_revival(drawn, half):
+    cfg, state = drawn
+    report = ehrenfest_report(state, cfg, TimeGrid(0.0, revival_time(cfg), 2 * half + 1))
+    start, mid = report.data[0], report.data[half]
+    scale = _scales(report, cfg, state)
+    assert abs(mid[1] - (cfg.L - start[1])) <= 1e-10 * scale[1]  # <x> -> L - <x>
+    assert abs(mid[2] + start[2]) <= 1e-10 * scale[2]  # <p> -> -<p>
+    assert abs(mid[3] - start[3]) <= 1e-10 * scale[3]  # dx unchanged
+
+
+@PROPERTY
+@given(well_and_state(), st.integers(3, 41))
+def test_state_columns_return_at_revival(drawn, steps):
+    cfg, state = drawn
+    report = ehrenfest_report(state, cfg, TimeGrid(0.0, revival_time(cfg), steps))
+    gap = np.abs(report.data[-1] - report.data[0]) / _scales(report, cfg, state)
+    assert gap[STATE_COLUMNS].max() <= 1e-10, dict(zip(report.COLUMNS[1:7], gap[STATE_COLUMNS]))

@@ -83,6 +83,23 @@ class TestEigenfunction:
                 assert norm_quad(L, n) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestSineCoefficients:
+    def test_eigenfunction_gives_unit_vector_in_one_call(self):
+        cfg = well.WellConfig(L=1.7, N=40)
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return well.eigenfunction(cfg, 7, x)
+
+        coeffs, norm2 = well.sine_coefficients(cfg, f)
+        assert len(calls) == 1
+        expect = np.zeros(cfg.N)
+        expect[6] = 1.0
+        np.testing.assert_allclose(coeffs, expect, rtol=0, atol=1e-13)
+        assert norm2 == pytest.approx(1.0, abs=1e-13)
+
+
 class TestPositionElement:
     def test_diagonal_is_half_width(self):
         for L in (1.0, 3.0):
