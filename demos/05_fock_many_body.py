@@ -13,7 +13,6 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
-from scipy import integrate
 
 from matrixwell import (
     FockBasis,
@@ -22,6 +21,7 @@ from matrixwell import (
     check_algebra,
     condensate_state,
     density_expectation,
+    quadrature_rule,
 )
 
 cfg = WellConfig(N=40)
@@ -50,5 +50,6 @@ for xval in np.linspace(0.0, cfg.L, 9):
     exact = 4.0 * (2.0 / cfg.L) * np.sin(np.pi * xval / cfg.L) ** 2
     print(f"   {xval:5.3f}   {d0:8.5f}   {d1:9.5f}    {exact:8.5f}")
 
-total, _ = integrate.quad(lambda x: density_expectation(state, cfg, basis, x, 0.0), 0, cfg.L)
+nodes, weights = quadrature_rule(cfg)
+total = weights @ density_expectation(state, cfg, basis, nodes, 0.0)
 print(f"\nintegral of the density over the well: {total:.9f} (particle number 4)")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from .dynamics import (
     StateVector,
@@ -46,7 +45,7 @@ from .operators import (
     evolve,
 )
 from .reports import atomic_write_text, render_csv, render_json
-from .well import WellConfig
+from .well import WellConfig, quadrature_rule
 
 log = logging.getLogger("matrixwell")
 
@@ -186,6 +185,13 @@ def parse_config(argv) -> RunConfig:
     except ValueError as e:
         field = "steps" if "steps" in str(e) else "t-end"
         raise ConfigError(str(e), field=field) from None
+    sample_time = take("t", 0.0)
+    # every evolution phase is an integer up to N^2 times (omega_1 t)
+    for key, t in (("t-start", t_start), ("t-end", t_end), ("t", sample_time)):
+        if not np.isfinite(well.N**2 * (well.base_frequency * t)):
+            raise ConfigError(
+                f"{key} = {t} makes the phase N^2 omega_1 t overflow at N={well.N}", field=key
+            )
 
     fmt = take("format", "csv")
     if fmt not in ("csv", "json"):
@@ -199,7 +205,6 @@ def parse_config(argv) -> RunConfig:
     modes = take("modes", 3)
     particles = take("particles", 2)
     positions = take("positions", 50)
-    sample_time = take("t", 0.0)
     state_spec = merged.get("state")
     out = merged.get("out")
 
@@ -399,12 +404,11 @@ def _run_fock_density(rc: RunConfig):
     basis, state = _fock_basis_and_state(rc)
     cfg = rc.well
     xs = np.linspace(0.0, cfg.L, rc.positions)
-    rows = [
-        [float(x), density_expectation(state, cfg, basis, float(x), rc.sample_time)] for x in xs
-    ]
-    total, _ = integrate.quad(
-        lambda x: density_expectation(state, cfg, basis, x, rc.sample_time), 0.0, cfg.L, limit=200
-    )
+    density = density_expectation(state, cfg, basis, xs, rc.sample_time)
+    rows = [[float(x), float(n)] for x, n in zip(xs, density)]
+    # exact to rounding: the density is a trigonometric polynomial of degree 2M <= 2N
+    nodes, weights = quadrature_rule(cfg)
+    total = weights @ density_expectation(state, cfg, basis, nodes, rc.sample_time)
     diag = {"particle_number": rc.particles, "density_integral": float(total)}
     return ["x", "density"], rows, diag
 

@@ -3,21 +3,29 @@
 Occupation-number basis for bosons (per-mode cutoff) or fermions,
 creation/annihilation matrices, field operators, the free many-body
 Hamiltonian, condensate states, and density expectations in the
-Heisenberg picture.  Everything stays dense; the basis dimension is
-capped at desk scale.
+Heisenberg picture.
+
+Every ladder operator a_n is a partial permutation of the basis, kept in
+shift form by `_ladder`: one target row and one amplitude per column.
+`check_algebra` composes these arrays, and `density_expectation` forms
+the one-body density matrix rho_nm = <a_n^dagger a_m> from them, so
+neither builds a d x d matrix.  The dense builders (`annihilator`,
+`creator`, `number_operator`, `field_operator`, `heisenberg_field`,
+`many_body_hamiltonian`) serve small bases and refuse one whose d x d
+complex matrix would exceed `_MAX_DENSE_BYTES`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .well import WellConfig, eigenfunction, mode_frequency, sine_coefficients
 
 _MAX_DIMENSION = 32768
+_MAX_DENSE_BYTES = 256 * 2**20  # one complex d x d matrix: d <= 4096
 
 
 class Statistics(enum.Enum):
@@ -137,6 +145,56 @@ def _check_mode(basis: FockBasis, n: int) -> int:
     return int(n)
 
 
+def _ladder(basis: FockBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shift form of a_n: column s holds amps[s] at row target[s], and nothing else.
+
+    Removing one quantum from mode n moves state s to s - stride_n.  Bosons:
+    amplitude sqrt(occ_n).  Fermions: (-1)^(occ_1 + ... + occ_{n-1}), the
+    mode-1-first sign string, so for example a_2 |1,1> = -|1,0>.  A column
+    with occ_n = 0 wraps to the state with occ_n = cutoff, a row a_n never
+    reaches, with amplitude 0; so `target` is a permutation of the basis.
+    """
+    n = _check_mode(basis, n)
+    occ = basis.occupations()
+    base = basis.cutoff + 1
+    stride = base ** (basis.modes - n)
+    empty = occ[:, n - 1] == 0
+    target = np.arange(basis.dimension) - stride + base * stride * empty
+    if basis.statistics is Statistics.BOSON:
+        amps = np.sqrt(occ[:, n - 1].astype(float))
+    else:
+        parity = occ[:, : n - 1].sum(axis=1) % 2
+        amps = np.where(empty, 0.0, np.where(parity == 0, 1.0, -1.0))
+    return target, amps
+
+
+def _compose(a, b):
+    """Shift form of A @ B, both in shift form."""
+    (ta, va), (tb, vb) = a, b
+    return ta[tb], va[tb] * vb
+
+
+def _adjoint(a):
+    """Shift form of A^dagger: the inverse permutation, conjugate amplitudes."""
+    target, amps = a
+    inverse = np.empty_like(target)
+    inverse[target] = np.arange(target.size)
+    return inverse, amps[inverse].conj()
+
+
+def _dense_zeros(basis: FockBasis) -> np.ndarray:
+    """A zero complex d x d array, refused before allocation beyond _MAX_DENSE_BYTES."""
+    d = basis.dimension
+    size = 16 * d * d
+    if size > _MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a dense {d} x {d} complex operator needs {size / 2**20:.0f} MiB, above the"
+            f" {_MAX_DENSE_BYTES // 2**20} MiB cap; check_algebra and density_expectation"
+            " work on this basis without one"
+        )
+    return np.zeros((d, d), dtype=complex)
+
+
 def annihilator(basis: FockBasis, n: int) -> FockOperator:
     """Matrix of a_n in the occupation basis.
 
@@ -144,21 +202,9 @@ def annihilator(basis: FockBasis, n: int) -> FockOperator:
     (-1)^(occ_1 + ... + occ_{n-1}) with the mode-1-first sign string, so
     for example a_2 |1,1> = -|1,0>.
     """
-    n = _check_mode(basis, n)
-    occ = basis.occupations()
-    d = basis.dimension
-    base = basis.cutoff + 1
-    stride = base ** (basis.modes - n)
-
-    cols = np.nonzero(occ[:, n - 1] >= 1)[0]
-    rows = cols - stride  # removing one quantum from mode n
-    if basis.statistics is Statistics.BOSON:
-        amps = np.sqrt(occ[cols, n - 1].astype(float))
-    else:
-        parity = occ[cols, : n - 1].sum(axis=1) % 2
-        amps = np.where(parity == 0, 1.0, -1.0)
-    a = np.zeros((d, d), dtype=complex)
-    a[rows, cols] = amps
+    a = _dense_zeros(basis)
+    target, amps = _ladder(basis, n)
+    a[target, np.arange(basis.dimension)] = amps
     return FockOperator(basis, a)
 
 
@@ -170,7 +216,9 @@ def creator(basis: FockBasis, n: int) -> FockOperator:
 def number_operator(basis: FockBasis, n: int) -> FockOperator:
     """a_n^dagger a_n, diagonal with the occupation of mode n."""
     n = _check_mode(basis, n)
-    return FockOperator(basis, np.diag(basis.occupations()[:, n - 1].astype(complex)))
+    a = _dense_zeros(basis)
+    np.fill_diagonal(a, basis.occupations()[:, n - 1])
+    return FockOperator(basis, a)
 
 
 @dataclass(frozen=True)
@@ -194,12 +242,30 @@ class FockAlgebraReport:
     saturated_states: int
 
 
+def _relation(p, q, sign: float, minus_identity: bool):
+    """Entries of P + sign Q, minus I if asked, for P and Q in shift form.
+
+    Column s of the result can be nonzero only at rows target_P[s],
+    target_Q[s] and s.  Returns those rows and the entries there (3 x d
+    each).  An absent term enters as an exact zero, so every entry equals
+    the dense matrix's bit for bit.
+    """
+    (tp, vp), (tq, vq) = p, q
+    cols = np.arange(tp.size)
+    rows = np.stack([tp, tq, cols])
+    values = np.where(tp == rows, vp, 0.0) + sign * np.where(tq == rows, vq, 0.0)
+    if minus_identity:
+        values = values - (rows == cols)
+    return rows, values
+
+
 def check_algebra(basis: FockBasis) -> FockAlgebraReport:
-    """Check [a_n, a_m]_± = 0 and [a_n, a_m^dagger]_± = delta_nm I on the basis."""
-    ann = [annihilator(basis, n).entries for n in range(1, basis.modes + 1)]
-    cre = [a.conj().T for a in ann]
-    d = basis.dimension
-    eye = np.eye(d)
+    """Check [a_n, a_m]_± = 0 and [a_n, a_m^dagger]_± = delta_nm I on the basis.
+
+    Works on the shift forms in O(M^2 d) operations; no d x d matrix is built.
+    """
+    ann = [_ladder(basis, n) for n in range(1, basis.modes + 1)]
+    cre = [_adjoint(a) for a in ann]
     sign = -1.0 if basis.statistics is Statistics.BOSON else 1.0  # commutator vs anticommutator
 
     occ = basis.occupations()
@@ -210,21 +276,20 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
     saturated_total = 0
     for i in range(basis.modes):
         for j in range(basis.modes):
-            rel = ann[i] @ cre[j] + sign * cre[j] @ ann[i]
-            pair_rel = ann[i] @ ann[j] + sign * ann[j] @ ann[i]
+            _, pair_rel = _relation(_compose(ann[i], ann[j]), _compose(ann[j], ann[i]), sign, False)
             pair = max(pair, float(np.abs(pair_rel).max()))
+            rows, rel = _relation(_compose(ann[i], cre[j]), _compose(cre[j], ann[i]), sign, i == j)
             if i != j:
                 cross = max(cross, float(np.abs(rel).max()))
                 continue
-            defect = rel - eye
             if basis.statistics is Statistics.FERMION:
-                same = max(same, float(np.abs(defect).max()))
+                same = max(same, float(np.abs(rel).max()))
                 continue
             sat = occ[:, i] == basis.cutoff
             saturated_total += int(sat.sum())
-            off_diag = defect - np.diag(np.diagonal(defect))
-            same = max(same, float(np.abs(off_diag).max()))
-            diag = np.real(np.diagonal(defect))
+            on_diag = rows == np.arange(basis.dimension)
+            same = max(same, float(np.abs(np.where(on_diag, 0.0, rel)).max()))
+            diag = rel[2]  # the third row of `rows` is the diagonal
             same = max(same, float(np.abs(diag[~sat]).max()))
             boundary = max(boundary, float(np.abs(diag[sat] + (basis.cutoff + 1)).max()))
     return FockAlgebraReport(
@@ -239,10 +304,12 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
     )
 
 
-def _check_position(cfg: WellConfig, x: float) -> float:
-    if not (0.0 <= x <= cfg.L):
-        raise ValueError(f"position {x} outside the well [0, {cfg.L}]")
-    return float(x)
+def _check_position(cfg: WellConfig, x):
+    xv = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= xv) & (xv <= cfg.L))
+    if np.any(outside):
+        raise ValueError(f"position {xv[outside].flat[0]} outside the well [0, {cfg.L}]")
+    return xv
 
 
 def _check_modes_fit(cfg: WellConfig, basis: FockBasis) -> None:
@@ -252,11 +319,12 @@ def _check_modes_fit(cfg: WellConfig, basis: FockBasis) -> None:
 
 def field_operator(cfg: WellConfig, basis: FockBasis, x: float) -> FockOperator:
     """Field operator Psi(x) = sum_n psi_n(x) a_n over the retained modes."""
-    x = _check_position(cfg, x)
+    x = float(_check_position(cfg, x))
     _check_modes_fit(cfg, basis)
-    total = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    total = _dense_zeros(basis)
     for n in range(1, basis.modes + 1):
-        total += eigenfunction(cfg, n, x) * annihilator(basis, n).entries
+        target, amps = _ladder(basis, n)
+        total[target, np.arange(basis.dimension)] += eigenfunction(cfg, n, x) * amps
     return FockOperator(basis, total)
 
 
@@ -264,8 +332,9 @@ def many_body_hamiltonian(cfg: WellConfig, basis: FockBasis) -> FockOperator:
     """H = sum_n hbar omega_n a_n^dagger a_n, diagonal in the occupation basis."""
     _check_modes_fit(cfg, basis)
     freqs = np.array([mode_frequency(cfg, n) for n in range(1, basis.modes + 1)])
-    energies = basis.occupations() @ (cfg.hbar * freqs)
-    return FockOperator(basis, np.diag(energies.astype(complex)))
+    h = _dense_zeros(basis)
+    np.fill_diagonal(h, basis.occupations() @ (cfg.hbar * freqs))
+    return FockOperator(basis, h)
 
 
 def condensate_state(basis: FockBasis, n_particles: int) -> FockState:
@@ -303,14 +372,29 @@ def heisenberg_field(cfg: WellConfig, basis: FockBasis, x: float, t: float) -> F
     return FockOperator(basis, base_op.entries * phase)
 
 
-def density_expectation(
-    state: FockState, cfg: WellConfig, basis: FockBasis, x: float, t: float = 0.0
-) -> float:
-    """<state| Psi^dagger(x,t) Psi(x,t) |state>, the expected particle density."""
+def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, t: float = 0.0):
+    """<state| Psi^dagger(x,t) Psi(x,t) |state>, the expected particle density.
+
+    The columns V[:, m] = a_m |state> give the one-body density matrix
+    rho = V^dagger V, rho_nm = <a_n^dagger a_m>, and the density is
+    phi^dagger rho phi with phi_m = psi_m(x) exp(-i m^2 omega_1 t).  `x` may
+    be an array of positions (returns an array) or a scalar (returns a float).
+    """
     if state.basis != basis:
         raise ValueError("state and basis do not match")
-    v = heisenberg_field(cfg, basis, x, t).entries @ state.coeffs
-    return float(np.real(np.vdot(v, v)))
+    xs = _check_position(cfg, x)
+    _check_modes_fit(cfg, basis)
+    v = np.empty((basis.dimension, basis.modes), dtype=complex)
+    for n in range(1, basis.modes + 1):
+        target, amps = _ladder(basis, n)
+        v[target, n - 1] = amps * state.coeffs
+    rho = v.conj().T @ v
+    n2 = np.arange(1, basis.modes + 1, dtype=np.int64) ** 2
+    phase = np.exp(-1j * (n2 * (cfg.base_frequency * t)))
+    phi = np.array([eigenfunction(cfg, n, xs.ravel()) for n in range(1, basis.modes + 1)])
+    phi = phi * phase[:, None]
+    density = np.real(np.sum(phi.conj() * (rho @ phi), axis=0)).reshape(xs.shape)
+    return float(density) if density.ndim == 0 else density
 
 
 def completeness_defect(cfg: WellConfig, f, modes: int) -> float:

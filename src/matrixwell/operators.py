@@ -8,7 +8,6 @@ the canonical commutation relation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -16,10 +15,6 @@ import numpy as np
 
 from .errors import NonConvergentDerivative
 from .well import WellConfig, eigen_energy
-
-
-class BasisTag(enum.Enum):
-    ENERGY_EIGENBASIS = "energy-eigenbasis"
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,6 @@ class OperatorMatrix:
     """
 
     entries: np.ndarray
-    basis: BasisTag = BasisTag.ENERGY_EIGENBASIS
     time: float | None = None
 
     def __post_init__(self):
@@ -48,7 +42,7 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.basis, self.time)
+        return OperatorMatrix(self.entries.conj().T, self.time)
 
     def hermiticity_defect(self) -> float:
         """max |A - A^dagger| / max(|A|, tiny), a relative conj-transpose check."""
@@ -61,7 +55,7 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_dim(self, other)
         t = self.time if self.time == other.time else None
-        return OperatorMatrix(self.entries @ other.entries, self.basis, t)
+        return OperatorMatrix(self.entries @ other.entries, t)
 
 
 def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
@@ -128,14 +122,14 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
     d = _phase_exponents(cfg)
     phase = np.exp(1j * (d * (cfg.base_frequency * t)))
     prior = 0.0 if op.time is None else op.time
-    return OperatorMatrix(op.entries * phase, op.basis, prior + t)
+    return OperatorMatrix(op.entries * phase, prior + t)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[a, b] = ab - ba."""
     _check_same_dim(a, b)
     t = a.time if a.time == b.time else None
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, a.basis, t)
+    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, t)
 
 
 def commutator_trace(a: OperatorMatrix, b: OperatorMatrix) -> complex:
@@ -244,7 +238,7 @@ def hamilton_derivative(
     h0 = h_of(at).entries
     table = []
     for e in eps:
-        shifted = OperatorMatrix(at.entries + e * direction.entries, at.basis, at.time)
+        shifted = OperatorMatrix(at.entries + e * direction.entries, at.time)
         table.append((h_of(shifted).entries - h0) / e)
 
     # Neville extrapolation in eps toward 0; diag[i] is the best estimate
@@ -264,4 +258,4 @@ def hamilton_derivative(
         raise NonConvergentDerivative(
             f"operator derivative diverged: successive estimate gaps {gaps}"
         )
-    return OperatorMatrix(best[-1], at.basis, at.time)
+    return OperatorMatrix(best[-1], at.time)

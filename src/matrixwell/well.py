@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Composite Gauss-Legendre rule of sine_coefficients: nodes per panel, the
+# Composite Gauss-Legendre rule (quadrature_rule): nodes per panel, the
 # fewest panels, and the modes whose sine rows are formed at once (a full
 # N x nodes sine block would dominate peak memory at desk-scale N).
 _GL_ORDER = 24
@@ -85,20 +85,29 @@ def eigenfunction(cfg: WellConfig, n: int, x):
     return float(out) if np.isscalar(x) else out
 
 
-def sine_coefficients(cfg: WellConfig, f) -> tuple[np.ndarray, float]:
-    """Coefficients c_n = integral f psi_n over [0, L] for n = 1..N, and integral |f|^2.
+def quadrature_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule on [0, L].
 
-    Composite Gauss-Legendre quadrature: max(64, N) equal panels of 24
-    nodes, so every panel holds at most half a period of sin(k_N x) and the
-    rule is exact to rounding for the products psi_k psi_l it sees.  `f` is
-    called once, on the whole node array, and must accept an array of
-    positions inside (0, L); it may return complex values.
+    max(64, N) equal panels of 24 nodes, so every panel holds at most half
+    a period of sin(k_N x) and the rule is exact to rounding for the
+    products psi_k psi_l, k, l <= N.  The nodes lie inside (0, L).
     """
     nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     panels = max(_GL_MIN_PANELS, cfg.N)
     h = cfg.L / panels
     x = (np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0)).ravel()
     w = np.tile(weights * (h / 2.0), panels)
+    return x, w
+
+
+def sine_coefficients(cfg: WellConfig, f) -> tuple[np.ndarray, float]:
+    """Coefficients c_n = integral f psi_n over [0, L] for n = 1..N, and integral |f|^2.
+
+    Both integrals use `quadrature_rule`.  `f` is called once, on the whole
+    node array, and must accept an array of positions inside (0, L); it
+    may return complex values.
+    """
+    x, w = quadrature_rule(cfg)
     fx = np.asarray(f(x), dtype=complex)
     norm2 = float(w @ (fx.real**2 + fx.imag**2))
     wf = np.stack([w * fx.real, w * fx.imag], axis=1)

@@ -5,10 +5,12 @@ from adaptive quadrature of the defining integrals, parity cosines are
 evaluated as exact integer signs, and the fermion sign convention is
 checked against a first-quantized antisymmetrized two-particle state.
 Gaussian packet coefficients come from the whole-line Fourier transform.
-The one exception is `heisenberg_series`: it keeps the per-sample
+Two oracles keep an earlier dense form of a library computation as the
+reference for its faster one: `heisenberg_series` runs the per-sample
 Heisenberg-picture loop (the library's `evolve`, `expectation` and
-`dispersion` at every sample) as the reference for the batched series
-engine.
+`dispersion` at every sample) against the batched series engine, and
+`dense_check_algebra` forms the ladder relations from dense d x d
+products against the shift-form `check_algebra`.
 """
 
 import math
@@ -160,3 +162,50 @@ def heisenberg_series(state, cfg, grid):
     data[:, 8] = np.abs(np.gradient(data[:, 1], h, edge_order=2) - data[:, 2] / cfg.m)
     data[:, 9] = np.abs(np.gradient(data[:, 2], h, edge_order=2) + f_means)
     return data
+
+
+def dense_check_algebra(basis):
+    """`check_algebra` from dense d x d products of the library's `annihilator` matrices."""
+    from matrixwell import FockAlgebraReport, Statistics, annihilator
+
+    ann = [annihilator(basis, n).entries for n in range(1, basis.modes + 1)]
+    cre = [a.conj().T for a in ann]
+    d = basis.dimension
+    eye = np.eye(d)
+    sign = -1.0 if basis.statistics is Statistics.BOSON else 1.0  # commutator vs anticommutator
+
+    occ = basis.occupations()
+    same = 0.0
+    boundary = 0.0
+    cross = 0.0
+    pair = 0.0
+    saturated_total = 0
+    for i in range(basis.modes):
+        for j in range(basis.modes):
+            rel = ann[i] @ cre[j] + sign * cre[j] @ ann[i]
+            pair_rel = ann[i] @ ann[j] + sign * ann[j] @ ann[i]
+            pair = max(pair, float(np.abs(pair_rel).max()))
+            if i != j:
+                cross = max(cross, float(np.abs(rel).max()))
+                continue
+            defect = rel - eye
+            if basis.statistics is Statistics.FERMION:
+                same = max(same, float(np.abs(defect).max()))
+                continue
+            sat = occ[:, i] == basis.cutoff
+            saturated_total += int(sat.sum())
+            off_diag = defect - np.diag(np.diagonal(defect))
+            same = max(same, float(np.abs(off_diag).max()))
+            diag = np.real(np.diagonal(defect))
+            same = max(same, float(np.abs(diag[~sat]).max()))
+            boundary = max(boundary, float(np.abs(diag[sat] + (basis.cutoff + 1)).max()))
+    return FockAlgebraReport(
+        statistics=basis.statistics,
+        modes=basis.modes,
+        cutoff=basis.cutoff,
+        same_mode_defect=same,
+        boundary_error=boundary,
+        cross_mode_defect=cross,
+        pair_defect=pair,
+        saturated_states=saturated_total,
+    )

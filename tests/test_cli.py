@@ -111,6 +111,15 @@ class TestScenarioOutputs:
         assert float(row["same_mode_defect"]) == 0.0
         assert float(row["cross_mode_defect"]) == 0.0
 
+    def test_fock_algebra_at_the_basis_cap_without_dense_matrices(self, tmp_path):
+        # 2^15 states: one dense annihilator alone would need 16 GiB
+        out = tmp_path / "alg.csv"
+        assert run_cli(["fock-algebra", "--statistics", "fermion", "--modes", "15"], out=out) == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        for key in ("same_mode_defect", "boundary_error", "cross_mode_defect", "pair_defect"):
+            assert float(row[key]) == 0.0
+
     def test_fock_density_integral_diagnostic(self, tmp_path):
         out = tmp_path / "density.json"
         code = run_cli(
@@ -243,3 +252,22 @@ class TestFailureModes:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert set(diag) == {"error", "field"}
         assert diag["field"] == "modes"
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [(["evolve", "--t-end", "1e308"], "t-end"), (["fock-density", "--t", "inf"], "t")],
+    )
+    def test_overflowing_phase_refused(self, args, field, capsys):
+        code = run_cli(args)
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == field
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = "import sys, matrixwell.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,47 @@ class TestAlgebra:
         diag = np.real(np.diagonal(defect))
         np.testing.assert_allclose(diag[:-1], 0.0, atol=1e-13)
         assert diag[-1] == pytest.approx(-(basis.cutoff + 1), abs=1e-13)
+
+
+class TestDenseCap:
+    def test_algebra_and_density_allocate_no_dense_matrix(self, cfg):
+        basis = FockBasis(12, Statistics.FERMION)
+        dense_bytes = 16 * basis.dimension**2  # 256 MiB
+        state = FockState(basis, basis_vector(basis, [1, 1, 1] + [0] * 9))
+        xs = np.linspace(0.0, cfg.L, 50)
+        tracemalloc.start()
+        try:
+            rep = check_algebra(basis)
+            density = density_expectation(state, cfg, basis, xs, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.same_mode_defect, rep.cross_mode_defect, rep.pair_defect) == (0.0, 0.0, 0.0)
+        expect = (2.0 / cfg.L) * sum(np.sin(n * np.pi * xs / cfg.L) ** 2 for n in (1, 2, 3))
+        np.testing.assert_allclose(density, expect, atol=1e-12)
+        assert peak < dense_bytes / 50
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda cfg, basis: annihilator(basis, 1),
+            lambda cfg, basis: creator(basis, 1),
+            lambda cfg, basis: number_operator(basis, 1),
+            lambda cfg, basis: field_operator(cfg, basis, 0.3),
+            lambda cfg, basis: heisenberg_field(cfg, basis, 0.3, 0.1),
+            lambda cfg, basis: many_body_hamiltonian(cfg, basis),
+        ],
+    )
+    def test_dense_builders_refuse_beyond_the_byte_cap(self, cfg, build):
+        basis = FockBasis(15, Statistics.FERMION)  # one dense matrix: 16 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB cap"):
+                build(cfg, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFieldOperator:

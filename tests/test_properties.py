@@ -1,23 +1,32 @@
-"""Property tests of the series engine on random states (N <= 64).
+"""Property tests on random states: the series engine (N <= 64) and the
+shift-form Fock layer (bases of at most 125 states).
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matrixwell import (
+    FockBasis,
+    FockState,
     StateVector,
+    Statistics,
     TimeGrid,
     WellConfig,
+    check_algebra,
+    density_expectation,
     ehrenfest_report,
     force_matrix,
+    heisenberg_field,
+    quadrature_rule,
     revival_time,
 )
 
-from oracles import heisenberg_series
+from oracles import dense_check_algebra, heisenberg_series
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -90,3 +99,59 @@ def test_state_columns_return_at_revival(drawn, steps):
     report = ehrenfest_report(state, cfg, TimeGrid(0.0, revival_time(cfg), steps))
     gap = np.abs(report.data[-1] - report.data[0]) / _scales(report, cfg, state)
     assert gap[STATE_COLUMNS].max() <= 1e-10, dict(zip(report.COLUMNS[1:7], gap[STATE_COLUMNS]))
+
+
+@st.composite
+def fock_bases(draw):
+    if draw(st.booleans()):
+        return FockBasis(draw(st.integers(1, 6)), Statistics.FERMION)
+    modes = draw(st.integers(1, 3))
+    return FockBasis(modes, Statistics.BOSON, cutoff=draw(st.integers(1, 4)))
+
+
+@st.composite
+def fock_state(draw):
+    """A random well, a random basis and a random state spread over all of it.
+
+    Off-diagonal one-body densities <a_n^dagger a_m> (n != m) are nonzero,
+    unlike for the occupation eigenstates the CLI builds.
+    """
+    basis = draw(fock_bases())
+    scale = st.floats(0.5, 2.0)
+    cfg = WellConfig(L=draw(scale), m=draw(scale), hbar=draw(scale), N=draw(st.integers(8, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = FockState(basis, rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension))
+    return cfg, basis, state
+
+
+@PROPERTY
+@given(fock_bases())
+def test_shift_form_algebra_equals_dense_products(basis):
+    assert check_algebra(basis) == dense_check_algebra(basis)
+
+
+@PROPERTY
+@given(fock_state(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.floats(-1.0, 2.0))
+def test_density_matches_dense_field(drawn, fractions, periods):
+    cfg, basis, state = drawn
+    xs = cfg.L * np.array(fractions)
+    t = periods * revival_time(cfg)
+    expect = []
+    for x in xs:
+        v = heisenberg_field(cfg, basis, float(x), t).entries @ state.coeffs
+        expect.append(np.vdot(v, v).real)
+    got = density_expectation(state, cfg, basis, xs, t)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 / cfg.L)
+    single = density_expectation(state, cfg, basis, float(xs[0]), t)
+    assert isinstance(single, float)
+    assert single == pytest.approx(expect[0], rel=1e-12, abs=1e-12 / cfg.L)
+
+
+@PROPERTY
+@given(fock_state(), st.floats(-1.0, 2.0))
+def test_density_integrates_to_mean_particle_number(drawn, periods):
+    cfg, basis, state = drawn
+    nodes, weights = quadrature_rule(cfg)
+    total = weights @ density_expectation(state, cfg, basis, nodes, periods * revival_time(cfg))
+    particles = np.abs(state.coeffs) ** 2 @ basis.occupations().sum(axis=1)
+    assert abs(total - particles) <= 1e-12 * max(particles, 1.0)
