@@ -45,7 +45,7 @@ from .operators import (
     evolve,
 )
 from .reports import atomic_write_text, render_csv, render_json
-from .well import WellConfig, quadrature_rule
+from .well import WellConfig, _check_dense, quadrature_rule
 
 log = logging.getLogger("matrixwell")
 
@@ -176,6 +176,11 @@ def parse_config(argv) -> RunConfig:
         well = WellConfig(L=L, m=m, hbar=hbar, N=n_dim)
     except ValueError as e:
         raise ConfigError(str(e), field="well") from None
+    if not ns.scenario.startswith("fock"):
+        try:
+            _check_dense(well.N, "lower N")
+        except ValueError as e:
+            raise ConfigError(str(e), field="N") from None
 
     t_start = take("t-start", 0.0)
     t_end = take("t-end", revival_time(well))
@@ -278,16 +283,33 @@ def parse_config(argv) -> RunConfig:
     )
 
 
+def _check_below_edge(modes, n_dim: int) -> None:
+    """Refuse modes above 3N/4, where truncation visibly damages x and p.
+
+    The interior rule of InteriorBlockSpec (N/4) mirrored at the top: e.g.
+    eigen:50 at N=50 would report dp 108.16 for the exact 157.08.
+    """
+    top = max(modes)
+    if 4 * top > 3 * n_dim:
+        raise ValueError(
+            f"mode {top} lies above 3N/4 = {3 * n_dim / 4:g}, where truncation damages the"
+            f" dynamics; use N >= {-(-4 * top // 3)}"
+        )
+
+
 def _build_state(rc: RunConfig) -> StateVector:
     spec = rc.state_spec
     kind, _, rest = spec.partition(":")
     try:
         if kind == "eigen":
-            return StateVector.eigenstate(int(rest), rc.well.N)
+            n = int(rest)
+            _check_below_edge([n], rc.well.N)
+            return StateVector.eigenstate(n, rc.well.N)
         if kind == "modes":
             modes = [int(s) for s in rest.split(",") if s]
             if not modes:
                 raise ValueError("empty mode list")
+            _check_below_edge(modes, rc.well.N)
             return StateVector.uniform_superposition(modes, rc.well.N)
         if kind == "gaussian":
             params = {}
@@ -306,61 +328,68 @@ def _build_state(rc: RunConfig) -> StateVector:
     raise ConfigError(f"unknown state kind {kind!r}", field="state")
 
 
+# Every runner returns (names, columns, diagnostics): the table as one 1-D
+# column per name, in row order, for reports.render_csv / render_json.
+
+
+def _one_row(names, values):
+    return names, [[v] for v in values]
+
+
 def _run_elements(rc: RunConfig):
+    n = rc.well.N
     x = build_position(rc.well).entries
     p = build_momentum(rc.well).entries
-    rows = []
-    for k in range(rc.well.N):
-        for l in range(rc.well.N):
-            rows.append([k + 1, l + 1, float(x[k, l].real), float(p[k, l].real), float(p[k, l].imag)])
-    return ["k", "l", "x", "p_re", "p_im"], rows, {"dim": rc.well.N}
+    k = np.repeat(np.arange(1, n + 1), n)
+    l = np.tile(np.arange(1, n + 1), n)
+    columns = [k, l, x.real.ravel(), p.real.ravel(), p.imag.ravel()]
+    return ["k", "l", "x", "p_re", "p_im"], columns, {"dim": n}
 
 
 def _run_commutator(rc: RunConfig):
     rep = canonical_commutator_report(rc.well, InteriorBlockSpec(rc.block))
-    columns = [
-        "n", "block", "interior_max_deviation",
-        "trace_re", "trace_im", "trace_naive_re", "trace_naive_im",
-        "worst_diagonal_deviation", "edge_diagonal_min",
-    ]
-    row = [
-        rep.dim, rep.block, rep.interior_max_deviation,
-        rep.trace.real, rep.trace.imag, rep.trace_naive.real, rep.trace_naive.imag,
-        rep.worst_diagonal_deviation, rep.edge_diagonal_min,
-    ]
+    names, columns = _one_row(
+        [
+            "n", "block", "interior_max_deviation",
+            "trace_re", "trace_im", "trace_naive_re", "trace_naive_im",
+            "worst_diagonal_deviation", "edge_diagonal_min",
+        ],
+        [
+            rep.dim, rep.block, rep.interior_max_deviation,
+            rep.trace.real, rep.trace.imag, rep.trace_naive.real, rep.trace_naive.imag,
+            rep.worst_diagonal_deviation, rep.edge_diagonal_min,
+        ],
+    )
     diag = {"note": "full trace vanishes for every finite N; edge diagonal absorbs it"}
-    return columns, [row], diag
+    return names, columns, diag
 
 
 def _run_evolve(rc: RunConfig):
     x0 = build_position(rc.well)
     f0 = x0.frobenius()
-    rows = []
-    for t in rc.grid.times():
+    times = rc.grid.times()
+    data = np.empty((3, times.size))
+    for i, t in enumerate(times):
         xt = evolve(x0, rc.well, float(t))
-        rows.append(
-            [
-                float(t),
-                float(np.abs(xt.entries - x0.entries).max()),
-                abs(xt.frobenius() - f0),
-                xt.hermiticity_defect(),
-            ]
+        data[:, i] = (
+            np.abs(xt.entries - x0.entries).max(),
+            abs(xt.frobenius() - f0),
+            xt.hermiticity_defect(),
         )
-    columns = ["t", "max_change_from_start", "frobenius_drift", "hermiticity_defect"]
-    return columns, rows, {"revival_time": revival_time(rc.well)}
+    names = ["t", "max_change_from_start", "frobenius_drift", "hermiticity_defect"]
+    return names, [times, *data], {"revival_time": revival_time(rc.well)}
 
 
-def _report_rows(report):
-    rows = [[float(v) for v in row] for row in report.data]
-    return list(report.COLUMNS), rows, dict(report.meta)
+def _report_columns(report):
+    return list(report.COLUMNS), list(report.data.T), dict(report.meta)
 
 
 def _run_spread(rc: RunConfig):
-    return _report_rows(spread_report(_build_state(rc), rc.well, rc.grid))
+    return _report_columns(spread_report(_build_state(rc), rc.well, rc.grid))
 
 
 def _run_ehrenfest(rc: RunConfig):
-    return _report_rows(ehrenfest_report(_build_state(rc), rc.well, rc.grid))
+    return _report_columns(ehrenfest_report(_build_state(rc), rc.well, rc.grid))
 
 
 def _run_revival(rc: RunConfig):
@@ -374,9 +403,11 @@ def _run_revival(rc: RunConfig):
         state = gaussian_packet(cfg, cfg.L / 2.0, cfg.L / 20.0, 0.0)
     dx0 = dispersion(state, x0)
     dxr = dispersion(state, xt)
-    columns = ["t_r", "max_position_change", "dx_initial", "dx_revival", "dx_gap"]
-    row = [t_r, float(np.abs(xt.entries - x0.entries).max()), dx0, dxr, abs(dxr - dx0)]
-    return columns, [row], {"dim": cfg.N}
+    names, columns = _one_row(
+        ["t_r", "max_position_change", "dx_initial", "dx_revival", "dx_gap"],
+        [t_r, float(np.abs(xt.entries - x0.entries).max()), dx0, dxr, abs(dxr - dx0)],
+    )
+    return names, columns, {"dim": cfg.N}
 
 
 def _fock_basis(rc: RunConfig) -> FockBasis:
@@ -405,28 +436,29 @@ def _run_fock_density(rc: RunConfig):
     cfg = rc.well
     xs = np.linspace(0.0, cfg.L, rc.positions)
     density = density_expectation(state, cfg, basis, xs, rc.sample_time)
-    rows = [[float(x), float(n)] for x, n in zip(xs, density)]
     # exact to rounding: the density is a trigonometric polynomial of degree 2M <= 2N
     nodes, weights = quadrature_rule(cfg)
     total = weights @ density_expectation(state, cfg, basis, nodes, rc.sample_time)
     diag = {"particle_number": rc.particles, "density_integral": float(total)}
-    return ["x", "density"], rows, diag
+    return ["x", "density"], [xs, density], diag
 
 
 def _run_fock_algebra(rc: RunConfig):
     basis = _fock_basis(rc)
     rep = check_algebra(basis)
-    columns = [
-        "statistics", "modes", "cutoff",
-        "same_mode_defect", "boundary_error", "cross_mode_defect", "pair_defect",
-        "saturated_states",
-    ]
-    row = [
-        rep.statistics.value, rep.modes, rep.cutoff,
-        rep.same_mode_defect, rep.boundary_error, rep.cross_mode_defect, rep.pair_defect,
-        rep.saturated_states,
-    ]
-    return columns, [row], {"dimension": basis.dimension}
+    names, columns = _one_row(
+        [
+            "statistics", "modes", "cutoff",
+            "same_mode_defect", "boundary_error", "cross_mode_defect", "pair_defect",
+            "saturated_states",
+        ],
+        [
+            rep.statistics.value, rep.modes, rep.cutoff,
+            rep.same_mode_defect, rep.boundary_error, rep.cross_mode_defect, rep.pair_defect,
+            rep.saturated_states,
+        ],
+    )
+    return names, columns, {"dimension": basis.dimension}
 
 
 _RUNNERS = {
@@ -443,11 +475,11 @@ _RUNNERS = {
 
 def run(rc: RunConfig) -> int:
     """Execute a validated RunConfig; write its report; return the exit status."""
-    columns, rows, diagnostics = _RUNNERS[rc.scenario](rc)
+    names, columns, diagnostics = _RUNNERS[rc.scenario](rc)
     if rc.fmt == "json":
-        text = render_json(rc.echo, columns, rows, diagnostics)
+        text = render_json(rc.echo, names, columns, diagnostics)
     else:
-        text = render_csv(columns, rows)
+        text = render_csv(names, columns)
     if rc.out:
         atomic_write_text(rc.out, text)
     else:

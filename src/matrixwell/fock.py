@@ -12,7 +12,9 @@ the one-body density matrix rho_nm = <a_n^dagger a_m> from them, so
 neither builds a d x d matrix.  The dense builders (`annihilator`,
 `creator`, `number_operator`, `field_operator`, `heisenberg_field`,
 `many_body_hamiltonian`) serve small bases and refuse one whose d x d
-complex matrix would exceed `_MAX_DENSE_BYTES`.
+complex matrix would exceed the shared cap `well._MAX_DENSE_BYTES` (256 MiB),
+and each holds at most one such matrix at a time, plus row-block
+temporaries.
 """
 
 from __future__ import annotations
@@ -22,10 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .well import WellConfig, eigenfunction, mode_frequency, sine_coefficients
+from .well import (
+    WellConfig,
+    _check_dense,
+    _frozen_complex,
+    eigenfunction,
+    mode_frequency,
+    sine_coefficients,
+)
 
 _MAX_DIMENSION = 32768
-_MAX_DENSE_BYTES = 256 * 2**20  # one complex d x d matrix: d <= 4096
+_PHASE_BLOCK_ELEMENTS = 2**18  # heisenberg_field applies its phases this many entries at a time
 
 
 class Statistics(enum.Enum):
@@ -90,19 +99,22 @@ class FockBasis:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on a FockBasis."""
+    """Dense operator on a FockBasis.
+
+    Entries are immutable: a read-only complex C-contiguous array that owns
+    its memory is taken as is, anything else is copied.
+    """
 
     basis: FockBasis
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=complex, order="C")
+        a = _frozen_complex(self.entries)
         d = self.basis.dimension
         if a.shape != (d, d):
             raise ValueError(f"entries must be {d} x {d} for this basis, got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("operator entries must be finite")
-        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     def dagger(self) -> "FockOperator":
@@ -111,7 +123,7 @@ class FockOperator:
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.basis != other.basis:
             raise ValueError("operators live on different bases")
-        return FockOperator(self.basis, self.entries @ other.entries)
+        return _handover(self.basis, self.entries @ other.entries)
 
 
 @dataclass(frozen=True)
@@ -183,16 +195,24 @@ def _adjoint(a):
 
 
 def _dense_zeros(basis: FockBasis) -> np.ndarray:
-    """A zero complex d x d array, refused before allocation beyond _MAX_DENSE_BYTES."""
+    """A zero complex d x d array, refused before allocation beyond the dense cap."""
     d = basis.dimension
-    size = 16 * d * d
-    if size > _MAX_DENSE_BYTES:
-        raise ValueError(
-            f"a dense {d} x {d} complex operator needs {size / 2**20:.0f} MiB, above the"
-            f" {_MAX_DENSE_BYTES // 2**20} MiB cap; check_algebra and density_expectation"
-            " work on this basis without one"
-        )
+    _check_dense(d, "check_algebra and density_expectation work on this basis without one")
     return np.zeros((d, d), dtype=complex)
+
+
+def _handover(basis: FockBasis, a: np.ndarray) -> FockOperator:
+    """Wrap a freshly computed complex array without copying it."""
+    a.setflags(write=False)
+    return FockOperator(basis, a)
+
+
+def _dense(basis: FockBasis, shift) -> FockOperator:
+    """The dense matrix of an operator in shift form."""
+    target, amps = shift
+    a = _dense_zeros(basis)
+    a[target, np.arange(basis.dimension)] = amps
+    return _handover(basis, a)
 
 
 def annihilator(basis: FockBasis, n: int) -> FockOperator:
@@ -202,15 +222,12 @@ def annihilator(basis: FockBasis, n: int) -> FockOperator:
     (-1)^(occ_1 + ... + occ_{n-1}) with the mode-1-first sign string, so
     for example a_2 |1,1> = -|1,0>.
     """
-    a = _dense_zeros(basis)
-    target, amps = _ladder(basis, n)
-    a[target, np.arange(basis.dimension)] = amps
-    return FockOperator(basis, a)
+    return _dense(basis, _ladder(basis, n))
 
 
 def creator(basis: FockBasis, n: int) -> FockOperator:
     """a_n^dagger, the adjoint of annihilator(basis, n)."""
-    return annihilator(basis, n).dagger()
+    return _dense(basis, _adjoint(_ladder(basis, n)))
 
 
 def number_operator(basis: FockBasis, n: int) -> FockOperator:
@@ -218,7 +235,7 @@ def number_operator(basis: FockBasis, n: int) -> FockOperator:
     n = _check_mode(basis, n)
     a = _dense_zeros(basis)
     np.fill_diagonal(a, basis.occupations()[:, n - 1])
-    return FockOperator(basis, a)
+    return _handover(basis, a)
 
 
 @dataclass(frozen=True)
@@ -317,15 +334,19 @@ def _check_modes_fit(cfg: WellConfig, basis: FockBasis) -> None:
         raise ValueError(f"basis uses {basis.modes} modes but cfg retains only N={cfg.N}")
 
 
-def field_operator(cfg: WellConfig, basis: FockBasis, x: float) -> FockOperator:
-    """Field operator Psi(x) = sum_n psi_n(x) a_n over the retained modes."""
+def _field_entries(cfg: WellConfig, basis: FockBasis, x: float) -> np.ndarray:
     x = float(_check_position(cfg, x))
     _check_modes_fit(cfg, basis)
     total = _dense_zeros(basis)
     for n in range(1, basis.modes + 1):
         target, amps = _ladder(basis, n)
         total[target, np.arange(basis.dimension)] += eigenfunction(cfg, n, x) * amps
-    return FockOperator(basis, total)
+    return total
+
+
+def field_operator(cfg: WellConfig, basis: FockBasis, x: float) -> FockOperator:
+    """Field operator Psi(x) = sum_n psi_n(x) a_n over the retained modes."""
+    return _handover(basis, _field_entries(cfg, basis, x))
 
 
 def many_body_hamiltonian(cfg: WellConfig, basis: FockBasis) -> FockOperator:
@@ -334,7 +355,7 @@ def many_body_hamiltonian(cfg: WellConfig, basis: FockBasis) -> FockOperator:
     freqs = np.array([mode_frequency(cfg, n) for n in range(1, basis.modes + 1)])
     h = _dense_zeros(basis)
     np.fill_diagonal(h, basis.occupations() @ (cfg.hbar * freqs))
-    return FockOperator(basis, h)
+    return _handover(basis, h)
 
 
 def condensate_state(basis: FockBasis, n_particles: int) -> FockState:
@@ -364,12 +385,16 @@ def heisenberg_field(cfg: WellConfig, basis: FockBasis, x: float, t: float) -> F
     H is diagonal, so the conjugation is elementwise: entry (r, s) picks
     up exp(i (q_r - q_s) omega_1 t) where q is the integer spectral weight
     of each occupation state.  Equals sum_n psi_n(x) a_n e^{-i omega_n t}.
+    The phases are applied in place, a block of rows at a time.
     """
-    base_op = field_operator(cfg, basis, x)
+    a = _field_entries(cfg, basis, x)
     q = _mode_weight_integers(basis)
-    dq = q[:, None] - q[None, :]
-    phase = np.exp(1j * (dq * (cfg.base_frequency * t)))
-    return FockOperator(basis, base_op.entries * phase)
+    wt = cfg.base_frequency * t
+    rows = max(1, _PHASE_BLOCK_ELEMENTS // basis.dimension)
+    for start in range(0, basis.dimension, rows):
+        block = slice(start, start + rows)
+        a[block] *= np.exp(1j * ((q[block, None] - q[None, :]) * wt))
+    return _handover(basis, a)
 
 
 def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, t: float = 0.0):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergentDerivative
-from .well import WellConfig, eigen_energy
+from .well import WellConfig, _check_dense, _frozen_complex, eigen_energy
 
 
 @dataclass(frozen=True)
@@ -22,19 +22,20 @@ class OperatorMatrix:
     """A dense complex N x N operator in the energy eigenbasis.
 
     `time` is None for operators built at t = 0 ("static"); `evolve`
-    stamps the evolution time.  Entries are immutable after construction.
+    stamps the evolution time.  Entries are immutable after construction:
+    a read-only complex C-contiguous array that owns its memory is taken
+    as is, anything else is copied.
     """
 
     entries: np.ndarray
     time: float | None = None
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=complex, order="C")
+        a = _frozen_complex(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"operator entries must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("operator entries must be finite")
-        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @property
@@ -55,7 +56,13 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_dim(self, other)
         t = self.time if self.time == other.time else None
-        return OperatorMatrix(self.entries @ other.entries, t)
+        return _handover(self.entries @ other.entries, t)
+
+
+def _handover(a: np.ndarray, time: float | None = None) -> OperatorMatrix:
+    """Wrap a freshly computed complex array without copying it."""
+    a.setflags(write=False)
+    return OperatorMatrix(a, time)
 
 
 def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
@@ -63,43 +70,60 @@ def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_size(cfg: WellConfig) -> None:
+    _check_dense(cfg.N, "lower N")
+
+
 def identity(n: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(n, dtype=complex))
+    return _handover(np.eye(n, dtype=complex))
+
+
+def _closed_forms(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
+    """x and p/i as real N x N arrays (well.position_element, well.momentum_element).
+
+    Integer arithmetic on k l and k^2 - l^2 makes x exactly symmetric and
+    p/i exactly antisymmetric, with exact parity zeros.
+    """
+    _check_size(cfg)
+    n = cfg.mode_numbers().astype(np.int64)
+    kl = np.multiply.outer(n, n).astype(float)  # exact below 2^53
+    d = np.subtract.outer(n * n, n * n)  # k^2 - l^2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = kl * (-8.0 * cfg.L)
+        x /= math.pi**2 * (d * d)
+        p_over_i = kl * (4.0 * cfg.hbar)
+        p_over_i /= cfg.L * -d
+    even = np.equal.outer(n % 2, n % 2)  # k + l even, the diagonal included
+    np.copyto(x, 0.0, where=even)
+    np.copyto(p_over_i, 0.0, where=even)
+    np.fill_diagonal(x, cfg.L / 2.0)
+    return x, p_over_i
 
 
 def build_position(cfg: WellConfig) -> OperatorMatrix:
     """Position matrix: L/2 on the diagonal, -8Lkl/(pi^2 (k^2-l^2)^2) for k+l odd.
 
-    Integer arithmetic on k l and (k^2-l^2)^2 makes the result exactly
-    symmetric with exact parity zeros.
+    Exactly symmetric with exact parity zeros.  Raises ValueError before
+    allocating when one N x N complex matrix would exceed 256 MiB.
     """
-    n = cfg.mode_numbers().astype(np.int64)
-    k, l = n[:, None], n[None, :]
-    d = k * k - l * l
-    odd = (k + l) % 2 == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = -8.0 * cfg.L * (k * l) / (math.pi**2 * (d * d))
-    x = np.where(odd, off, 0.0)
-    np.fill_diagonal(x, cfg.L / 2.0)
-    return OperatorMatrix(x.astype(complex))
+    x, _ = _closed_forms(cfg)
+    return _handover(x.astype(complex))
 
 
 def build_momentum(cfg: WellConfig) -> OperatorMatrix:
-    """Momentum matrix: zero diagonal, 4 i hbar k l / (L (l^2 - k^2)) for k+l odd."""
-    n = cfg.mode_numbers().astype(np.int64)
-    k, l = n[:, None], n[None, :]
-    d = l * l - k * k
-    odd = (k + l) % 2 == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off = 4.0 * cfg.hbar * (k * l) / (cfg.L * np.where(d == 0, 1, d))
-    p = np.where(odd, 1j * off, 0.0 + 0.0j)
-    return OperatorMatrix(p)
+    """Momentum matrix: zero diagonal, 4 i hbar k l / (L (l^2 - k^2)) for k+l odd.
+
+    Raises ValueError before allocating above the 256 MiB cap.
+    """
+    _, p_over_i = _closed_forms(cfg)
+    return _handover(1j * p_over_i)
 
 
 def build_hamiltonian(cfg: WellConfig) -> OperatorMatrix:
-    """Diagonal Hamiltonian diag(E_1 .. E_N)."""
+    """Diagonal Hamiltonian diag(E_1 .. E_N); refused above the 256 MiB cap."""
+    _check_size(cfg)
     e = np.array([eigen_energy(cfg, int(n)) for n in cfg.mode_numbers()])
-    return OperatorMatrix(np.diag(e).astype(complex))
+    return _handover(np.diag(e).astype(complex))
 
 
 def _phase_exponents(cfg: WellConfig) -> np.ndarray:
@@ -115,38 +139,44 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
     times the single float omega_1 * t, so revival-time phases land on
     integer multiples of 2 pi to machine precision.  Evolving an
     already-evolved operator accumulates its time stamp, which makes
-    evolve a one-parameter group.
+    evolve a one-parameter group.  Raises ValueError before allocating
+    above the 256 MiB cap.
     """
+    _check_size(cfg)
     if op.dim != cfg.N:
         raise ValueError(f"operator dimension {op.dim} does not match cfg.N={cfg.N}")
     d = _phase_exponents(cfg)
     phase = np.exp(1j * (d * (cfg.base_frequency * t)))
     prior = 0.0 if op.time is None else op.time
-    return OperatorMatrix(op.entries * phase, prior + t)
+    return _handover(op.entries * phase, prior + t)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[a, b] = ab - ba."""
     _check_same_dim(a, b)
     t = a.time if a.time == b.time else None
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, t)
+    return _handover(a.entries @ b.entries - b.entries @ a.entries, t)
+
+
+def _pairwise_trace(a: np.ndarray, b: np.ndarray):
+    """trace(ab - ba) = sum_{k<j} (G_kj + G_jk), G = E - E^T, E_kj = a_kj b_jk.
+
+    G is exactly antisymmetric entry by entry (the same two floats are
+    multiplied on both sides), so every paired sum is exactly zero.
+    """
+    e = a * b.T
+    g = e - e.T
+    return np.sum(np.triu(g, 1) + np.tril(g, -1).T)
 
 
 def commutator_trace(a: OperatorMatrix, b: OperatorMatrix) -> complex:
     """trace(ab - ba), evaluated so the cancellation is exact in floats.
 
-    trace(ab) - trace(ba) = sum_{k<j} (G_kj + G_jk) with
-    G = E - E^T, E_kj = a_kj b_jk.  G is exactly antisymmetric entry by
-    entry (the same two floats are multiplied on both sides), so every
-    paired sum is exactly zero and the returned value is 0.0 for any two
-    finite matrices, independent of truncation.
+    Pairs the entries as `_pairwise_trace` does, so the returned value is
+    0.0 for any two finite matrices, independent of truncation.
     """
     _check_same_dim(a, b)
-    e = a.entries * b.entries.T
-    g = e - e.T
-    upper = np.triu(g, 1)
-    lower = np.tril(g, -1).T
-    return complex(np.sum(upper + lower))
+    return complex(_pairwise_trace(a.entries, b.entries))
 
 
 @dataclass(frozen=True)
@@ -188,24 +218,28 @@ class CommutatorReport:
 
 
 def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> CommutatorReport:
-    """Measure how well the truncated x and p satisfy [x, p] = i hbar I."""
+    """Measure how well the truncated x and p satisfy [x, p] = i hbar I.
+
+    Works on the real arrays X and P/i in O(N^2 + b^2 N) operations: with X
+    symmetric and P/i antisymmetric, [x, p]_kk = -2i sum_j X_kj (P/i)_kj,
+    and the b x b interior block is X[:b] (P/i)[:, :b] - (P/i)[:b] X[:, :b]
+    times i.  No N x N product is formed.
+    """
     if 4 * block.max_index > cfg.N:
         raise ValueError(
             f"interior block {block.max_index} too large: need N >= {4 * block.max_index}, got N={cfg.N}"
         )
-    x = build_position(cfg)
-    p = build_momentum(cfg)
-    c = commutator(x, p)
-    scaled = c.entries / (1j * cfg.hbar)
+    x, p_over_i = _closed_forms(cfg)
     b = block.max_index
-    interior = scaled[:b, :b] - np.eye(b)
-    diag = np.real(np.diagonal(scaled))
+    trace_terms = -2.0 * np.einsum("kj,kj->k", x, p_over_i)  # [x, p]_kk / i
+    diag = trace_terms / cfg.hbar
+    interior = (x[:b] @ p_over_i[:, :b] - p_over_i[:b] @ x[:, :b]) / cfg.hbar - np.eye(b)
     return CommutatorReport(
         dim=cfg.N,
         block=b,
         interior_max_deviation=float(np.abs(interior).max()),
-        trace=commutator_trace(x, p),
-        trace_naive=complex(np.trace(c.entries)),
+        trace=complex(0.0, _pairwise_trace(x, p_over_i)),
+        trace_naive=complex(0.0, trace_terms.sum()),
         worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
         edge_diagonal_min=float(diag.min()),
     )

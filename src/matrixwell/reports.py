@@ -1,5 +1,12 @@
 """Deterministic CSV and JSON emission for scenario reports.
 
+A report table arrives as columns: one 1-D sequence per column name, all of
+one length, in row order.  Each column is formatted once per distinct value
+(`np.unique`) and the cells are joined row by row, so a table with parity
+zeros or symmetric entries formats far fewer values than it has cells.
+A column holds floats, integers (int64) or strings; booleans and anything
+else are refused.
+
 Floats are written with fixed significant digits (17 in JSON, 12 in CSV)
 so identical runs produce byte-identical files; 17 significant digits
 round-trip IEEE doubles exactly, so emitted JSON re-parses into an equal
@@ -13,16 +20,11 @@ import json
 import os
 from pathlib import Path
 
-
-def _format_float(v: float, digits: int) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ValueError("reports must not contain NaN or infinities")
-    text = format(v, f".{digits}g")
-    # normalize negative zero for stable output
-    return "0" if text in ("-0", "-0.0") else text
+import numpy as np
 
 
 def _json_value(v, digits: int = 17) -> str:
+    """One config or diagnostics value (scalars, dicts and lists of them)."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
@@ -32,7 +34,7 @@ def _json_value(v, digits: int = 17) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _format_float(v, digits)
+        return _column_cells([v], digits, quote=True)[0]
     if isinstance(v, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_value(x, digits)}" for k, x in v.items())
         return "{" + inner + "}"
@@ -41,31 +43,54 @@ def _json_value(v, digits: int = 17) -> str:
     raise TypeError(f"cannot serialize {type(v).__name__} deterministically")
 
 
-def render_json(config: dict, columns, rows, diagnostics: dict) -> str:
-    doc = {
-        "config": config,
-        "columns": list(columns),
-        "rows": [list(r) for r in rows],
-        "diagnostics": diagnostics,
-    }
-    return _json_value(doc) + "\n"
+def _column_cells(values, digits: int, quote: bool) -> list[str]:
+    """The cells of one column, each distinct value formatted once.
 
-
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
+    -0.0 and 0.0 are one distinct value; both print as 0.  `quote` writes
+    strings as JSON string literals.
+    """
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"a report column must be one-dimensional, got shape {a.shape}")
+    kind = a.dtype.kind
+    if kind == "b":
         raise TypeError("boolean cells are not part of any report schema")
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _format_float(v, 12)
-    raise TypeError(f"cannot serialize {type(v).__name__} into CSV")
+    if kind not in "fiuU":
+        raise TypeError(f"cannot serialize a {a.dtype} column deterministically")
+    distinct, inverse = np.unique(a, return_inverse=True)
+    if kind == "f":
+        if not np.all(np.isfinite(distinct)):
+            raise ValueError("reports must not contain NaN or infinities")
+        # + 0.0 turns -0.0 into 0.0, so a negative zero prints as 0
+        text = [format(v, f".{digits}g") for v in (distinct + 0.0).tolist()]
+    elif kind == "U":
+        text = [json.dumps(v) for v in distinct.tolist()] if quote else distinct.tolist()
+    else:
+        text = [str(v) for v in distinct.tolist()]
+    return np.array(text, dtype=object)[inverse.ravel()].tolist()
 
 
-def render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+def _rows(names, columns, digits: int, quote: bool):
+    """Row tuples of formatted cells."""
+    if len(names) != len(columns):
+        raise ValueError(f"{len(names)} column names for {len(columns)} columns")
+    cells = [_column_cells(c, digits, quote) for c in columns]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"report columns differ in length: {[len(c) for c in cells]}")
+    return zip(*cells)
+
+
+def render_json(config: dict, names, columns, diagnostics: dict) -> str:
+    rows = "], [".join(map(", ".join, _rows(names, columns, 17, True)))
+    rows = f"[{rows}]" if rows else ""
+    return (
+        f'{{"config": {_json_value(config)}, "columns": {_json_value(list(names))},'
+        f' "rows": [{rows}], "diagnostics": {_json_value(diagnostics)}}}\n'
+    )
+
+
+def render_csv(names, columns) -> str:
+    lines = [",".join(names), *map(",".join, _rows(names, columns, 12, False))]
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,10 @@ _GL_ORDER = 24
 _GL_MIN_PANELS = 64
 _SINE_CHUNK = 16
 
+# One dense complex matrix, N x N for the single particle or d x d for the
+# Fock layer: 256 MiB, so N, d <= 4096.  Builders refuse more before allocating.
+_MAX_DENSE_BYTES = 256 * 2**20
+
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -58,6 +62,37 @@ class WellConfig:
 
     def mode_numbers(self) -> np.ndarray:
         return np.arange(1, self.N + 1)
+
+
+def _check_dense(n: int, hint: str) -> None:
+    """Refuse a dense complex n x n matrix above _MAX_DENSE_BYTES (ValueError)."""
+    size = 16 * n * n
+    if size > _MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a dense {n} x {n} complex matrix needs {size / 2**20:.1f} MiB, above the"
+            f" {_MAX_DENSE_BYTES // 2**20} MiB cap; {hint}"
+        )
+
+
+def _frozen_complex(entries) -> np.ndarray:
+    """`entries` as a read-only complex C-contiguous array.
+
+    An array that already is one and owns its memory is taken without a
+    copy: a builder hands over a matrix by freezing it.  Anything else is
+    copied, so a caller's writable array is never frozen or shared.
+    """
+    a = entries
+    handed_over = (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.complex128
+        and a.flags.c_contiguous
+        and a.flags.owndata
+        and not a.flags.writeable
+    )
+    if not handed_over:
+        a = np.array(entries, dtype=complex, order="C")
+        a.setflags(write=False)
+    return a
 
 
 def _check_mode(cfg: WellConfig, n: int) -> int:

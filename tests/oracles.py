@@ -10,9 +10,13 @@ reference for its faster one: `heisenberg_series` runs the per-sample
 Heisenberg-picture loop (the library's `evolve`, `expectation` and
 `dispersion` at every sample) against the batched series engine, and
 `dense_check_algebra` forms the ladder relations from dense d x d
-products against the shift-form `check_algebra`.
+products against the shift-form `check_algebra`, `dense_commutator_report`
+forms [x, p] from two N x N products against the O(N^2) report, and
+`row_render_csv`/`row_render_json` format a report one cell at a time
+against the column renderer of `reports`.
 """
 
+import json
 import math
 
 import numpy as np
@@ -209,3 +213,82 @@ def dense_check_algebra(basis):
         pair_defect=pair,
         saturated_states=saturated_total,
     )
+
+
+def dense_commutator_report(cfg, block):
+    """`canonical_commutator_report` from the full complex product X P - P X."""
+    from matrixwell import (
+        CommutatorReport,
+        build_momentum,
+        build_position,
+        commutator,
+        commutator_trace,
+    )
+
+    x, p = build_position(cfg), build_momentum(cfg)
+    c = commutator(x, p)
+    scaled = c.entries / (1j * cfg.hbar)
+    b = block.max_index
+    interior = scaled[:b, :b] - np.eye(b)
+    diag = np.real(np.diagonal(scaled))
+    return CommutatorReport(
+        dim=cfg.N,
+        block=b,
+        interior_max_deviation=float(np.abs(interior).max()),
+        trace=commutator_trace(x, p),
+        trace_naive=complex(np.trace(c.entries)),
+        worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
+        edge_diagonal_min=float(diag.min()),
+    )
+
+
+def _format_float(v, digits):
+    if v != v or v in (float("inf"), float("-inf")):
+        raise ValueError("reports must not contain NaN or infinities")
+    text = format(v, f".{digits}g")
+    return "0" if text in ("-0", "-0.0") else text
+
+
+def _json_cell(v, digits=17):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return _format_float(v, digits)
+    if isinstance(v, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {_json_cell(x, digits)}" for k, x in v.items())
+        return "{" + inner + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_json_cell(x, digits) for x in v) + "]"
+    raise TypeError(f"cannot serialize {type(v).__name__} deterministically")
+
+
+def row_render_json(config, columns, rows, diagnostics):
+    """A JSON report from rows of Python scalars, formatted one cell at a time."""
+    doc = {"config": config, "columns": list(columns), "rows": [list(r) for r in rows],
+           "diagnostics": diagnostics}
+    return _json_cell(doc) + "\n"
+
+
+def _csv_cell(v):
+    if isinstance(v, bool):
+        raise TypeError("boolean cells are not part of any report schema")
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return _format_float(v, 12)
+    raise TypeError(f"cannot serialize {type(v).__name__} into CSV")
+
+
+def row_render_csv(columns, rows):
+    """A CSV report from rows of Python scalars, formatted one cell at a time."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

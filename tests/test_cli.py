@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,56 @@ class TestFailureModes:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert set(diag) == {"error", "field"}
         assert diag["field"] == "steps"
+
+    def test_single_particle_size_cap_refused_before_allocating(self):
+        # one dense complex 4097 x 4097 matrix needs 256.1 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                parse_config(["elements", "--N", "4097"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == "N"
+        assert peak < 4 * 2**20
+        assert parse_config(["elements", "--N", "4096"]).well.N == 4096
+        assert parse_config(["fock-algebra", "--N", "5000"]).well.N == 5000
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["commutator", "--N", "100000"],
+            ["evolve", "--N", "4097"],
+            ["revival", "--N", "4097"],
+            ["spread", "--N", "4097", "--state", "eigen:1"],
+        ],
+    )
+    def test_oversized_n_refused_for_every_single_particle_scenario(self, args):
+        with pytest.raises(ConfigError) as err:
+            parse_config(args)
+        assert err.value.field == "N"
+
+    def test_state_on_the_truncation_edge_refused(self, capsys):
+        # at N=50 the truncated p gives dp = 108.16 for eigen:50, not 50 pi hbar / L = 157.08
+        assert run_cli(["spread", "--state", "eigen:50", "--N", "50"]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == "state"
+
+    @pytest.mark.parametrize(
+        "spec, refused",
+        [("eigen:37", False), ("eigen:38", True), ("modes:1,37", False), ("modes:38,1", True)],
+    )
+    def test_states_above_three_quarters_of_n_refused(self, spec, refused):
+        from matrixwell.cli import _build_state
+
+        rc = parse_config(["spread", "--N", "50", "--state", spec])
+        if refused:
+            with pytest.raises(ConfigError, match="3N/4") as err:
+                _build_state(rc)
+            assert err.value.field == "state"
+        else:
+            assert _build_state(rc).dim == 50
 
     def test_oversized_fock_basis_refused(self, capsys):
         code = run_cli(["fock-algebra", "--modes", "20"])

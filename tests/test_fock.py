@@ -145,6 +145,16 @@ class TestAlgebra:
         assert diag[-1] == pytest.approx(-(basis.cutoff + 1), abs=1e-13)
 
 
+DENSE_BUILDERS = [
+    lambda cfg, basis: annihilator(basis, 1),
+    lambda cfg, basis: creator(basis, 1),
+    lambda cfg, basis: number_operator(basis, 1),
+    lambda cfg, basis: field_operator(cfg, basis, 0.3),
+    lambda cfg, basis: heisenberg_field(cfg, basis, 0.3, 0.1),
+    lambda cfg, basis: many_body_hamiltonian(cfg, basis),
+]
+
+
 class TestDenseCap:
     def test_algebra_and_density_allocate_no_dense_matrix(self, cfg):
         basis = FockBasis(12, Statistics.FERMION)
@@ -163,17 +173,7 @@ class TestDenseCap:
         np.testing.assert_allclose(density, expect, atol=1e-12)
         assert peak < dense_bytes / 50
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda cfg, basis: annihilator(basis, 1),
-            lambda cfg, basis: creator(basis, 1),
-            lambda cfg, basis: number_operator(basis, 1),
-            lambda cfg, basis: field_operator(cfg, basis, 0.3),
-            lambda cfg, basis: heisenberg_field(cfg, basis, 0.3, 0.1),
-            lambda cfg, basis: many_body_hamiltonian(cfg, basis),
-        ],
-    )
+    @pytest.mark.parametrize("build", DENSE_BUILDERS)
     def test_dense_builders_refuse_beyond_the_byte_cap(self, cfg, build):
         basis = FockBasis(15, Statistics.FERMION)  # one dense matrix: 16 GiB
         tracemalloc.start()
@@ -184,6 +184,19 @@ class TestDenseCap:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("build", DENSE_BUILDERS)
+    def test_dense_builders_hold_at_most_two_matrices(self, cfg, build):
+        basis = FockBasis(10, Statistics.FERMION)
+        dense_bytes = 16 * basis.dimension**2  # 16 MiB
+        tracemalloc.start()
+        try:
+            op = build(cfg, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.entries.shape == (basis.dimension, basis.dimension)
+        assert peak <= 2 * dense_bytes
 
 
 class TestFieldOperator:
@@ -287,16 +300,23 @@ class TestHeisenbergField:
             heisenberg_field(cfg, bosons, x, 0.0).entries, field_operator(cfg, bosons, x).entries
         )
 
-    def test_matches_mode_phase_closed_form(self, cfg, bosons):
+    @staticmethod
+    def _mode_phase_gap(cfg, basis):
+        """max |Psi(x, t) - sum_n psi_n(x) e^{-i omega_n t} a_n| at one (x, t)."""
         x, t = 0.29, 0.83
-        got = heisenberg_field(cfg, bosons, x, t).entries
+        got = heisenberg_field(cfg, basis, x, t).entries
         expect = np.zeros_like(got)
-        for n in (1, 2, 3):
+        for n in range(1, basis.modes + 1):
             amp = math.sqrt(2.0 / cfg.L) * math.sin(n * math.pi * x / cfg.L)
-            expect = expect + amp * np.exp(-1j * mode_frequency(cfg, n) * t) * annihilator(
-                bosons, n
-            ).entries
-        assert np.abs(got - expect).max() < 1e-12
+            expect += amp * np.exp(-1j * mode_frequency(cfg, n) * t) * annihilator(basis, n).entries
+        return np.abs(got - expect).max()
+
+    def test_matches_mode_phase_closed_form(self, cfg, bosons):
+        assert self._mode_phase_gap(cfg, bosons) < 1e-12
+
+    def test_matches_mode_phase_closed_form_over_row_blocks(self, cfg):
+        # d = 1024: the phases are applied in several row blocks
+        assert self._mode_phase_gap(cfg, FockBasis(10, Statistics.FERMION)) < 1e-12
 
     def test_single_mode_phase(self, cfg):
         basis = FockBasis(1, Statistics.BOSON, cutoff=2)

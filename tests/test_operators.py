@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,36 @@ class TestBuilders:
         n = np.arange(1, cfg.N + 1)
         scale = cfg.hbar**2 * math.pi**2 / (2 * cfg.m * cfg.L**2)
         np.testing.assert_allclose(np.diagonal(h).real, scale * n**2, rtol=1e-14)
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_position,
+            build_momentum,
+            build_hamiltonian,
+            lambda cfg: evolve(identity(2), cfg, 0.1),
+        ],
+    )
+    def test_refused_before_allocating(self, build):
+        cfg = WellConfig(N=4097)  # one complex 4097 x 4097 matrix: 256.1 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB cap"):
+                build(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_caller_array_is_copied_builder_array_is_not(self):
+        a = np.zeros((2, 2), dtype=complex)
+        op = OperatorMatrix(a)
+        a[0, 0] = 1.0
+        assert op.entries[0, 0] == 0.0 and a.flags.writeable
+        x = build_position(WellConfig(N=8)).entries
+        assert x.flags.owndata and not x.flags.writeable
 
 
 class TestEvolve:

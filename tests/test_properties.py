@@ -1,5 +1,6 @@
-"""Property tests on random states: the series engine (N <= 64) and the
-shift-form Fock layer (bases of at most 125 states).
+"""Property tests on random states: the series engine (N <= 64), the
+shift-form Fock layer (bases of at most 125 states) and the O(N^2)
+commutator report (N <= 200).
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 from matrixwell import (
     FockBasis,
     FockState,
+    InteriorBlockSpec,
     StateVector,
     Statistics,
     TimeGrid,
     WellConfig,
+    build_momentum,
+    build_position,
+    canonical_commutator_report,
     check_algebra,
     density_expectation,
     ehrenfest_report,
@@ -26,7 +31,7 @@ from matrixwell import (
     revival_time,
 )
 
-from oracles import dense_check_algebra, heisenberg_series
+from oracles import dense_check_algebra, dense_commutator_report, heisenberg_series
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -155,3 +160,23 @@ def test_density_integrates_to_mean_particle_number(drawn, periods):
     total = weights @ density_expectation(state, cfg, basis, nodes, periods * revival_time(cfg))
     particles = np.abs(state.coeffs) ** 2 @ basis.occupations().sum(axis=1)
     assert abs(total - particles) <= 1e-12 * max(particles, 1.0)
+
+
+@PROPERTY
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.integers(8, 200), st.data())
+def test_commutator_report_matches_dense_products(L, hbar, n, data):
+    """Each figure within N eps sum |terms| of the dense X P - P X report; trace exactly 0."""
+    cfg = WellConfig(L=L, hbar=hbar, N=n)
+    block = InteriorBlockSpec(data.draw(st.integers(1, n // 4)))
+    got = canonical_commutator_report(cfg, block)
+    want = dense_commutator_report(cfg, block)
+    x, p = np.abs(build_position(cfg).entries), np.abs(build_momentum(cfg).entries)
+    bound = (n * np.finfo(float).eps / hbar) * (x @ p + p @ x)
+    b = block.max_index
+    diag_bound = float(np.max(np.diagonal(bound)))
+    assert (got.dim, got.block) == (want.dim, want.block)
+    assert got.trace == 0.0 and want.trace == 0.0
+    assert abs(got.interior_max_deviation - want.interior_max_deviation) <= np.max(bound[:b, :b])
+    assert abs(got.worst_diagonal_deviation - want.worst_diagonal_deviation) <= diag_bound
+    assert abs(got.edge_diagonal_min - want.edge_diagonal_min) <= diag_bound
+    assert abs(got.trace_naive) <= hbar * float(np.trace(bound))
