@@ -5,7 +5,8 @@
 Scenarios: elements, commutator, evolve, spread, ehrenfest, revival,
 fock-density, fock-algebra.  Flags override config-file values; the
 config file is flat `key = value` text whose keys match the flag names.
-Identical configurations produce byte-identical output files.
+Every option is declared once, in OPTIONS.  Identical configurations
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,40 +60,78 @@ SCENARIOS = (
     "fock-density",
     "fock-algebra",
 )
+FOCK = ("fock-density", "fock-algebra")
 
-_FLOAT_KEYS = ("L", "m", "hbar", "t-start", "t-end", "t")
-_INT_KEYS = ("N", "steps", "block", "modes", "cutoff", "particles", "positions")
-_STR_KEYS = ("state", "statistics", "out", "format")
-_KNOWN_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+
+@dataclass(frozen=True)
+class Option:
+    """One option, set by a `--key` flag or a `key = value` config-file line.
+
+    `kind` is the converter for the text (float, int, str) or the tuple of
+    allowed values.  A `default` of None means the value is worked out from
+    other options, or stays absent.  Only the listed `scenarios` read, check
+    and echo the option; the others ignore it.
+    """
+
+    key: str
+    kind: object
+    default: object
+    scenarios: tuple
+    help: str
+    notice: bool = False  # log it when the default is taken
+
+
+OPTIONS = (
+    Option("L", float, 1.0, SCENARIOS, "well width", notice=True),
+    Option("m", float, 1.0, SCENARIOS, "particle mass", notice=True),
+    Option("hbar", float, 1.0, SCENARIOS, "action quantum", notice=True),
+    Option("N", int, 100, SCENARIOS, "truncation dimension", notice=True),
+    Option("t-start", float, 0.0, SCENARIOS, "grid start"),
+    Option("t-end", float, None, SCENARIOS, "grid end; default one revival period"),
+    Option("steps", int, 101, SCENARIOS, "grid points; spread and ehrenfest need at least 3"),
+    Option("format", ("csv", "json"), "csv", SCENARIOS, "output format"),
+    Option(
+        "state", str, None, ("spread", "ehrenfest", "revival"),
+        "state spec: gaussian:center=..,width=..[,momentum=..] | eigen:n | modes:n1,n2,...;"
+        " spread and ehrenfest need one",
+    ),
+    Option("block", int, None, ("commutator",), "interior block; default min(10, N//4), at least 1"),
+    Option("modes", int, 3, FOCK, "Fock modes M"),
+    Option("statistics", ("boson", "fermion"), "boson", FOCK, "particle statistics"),
+    Option("cutoff", int, 4, FOCK, "boson occupation cutoff; fermions fixed at 1"),
+    Option("particles", int, 2, ("fock-density",), "particle number"),
+    Option("positions", int, 50, ("fock-density",), "sample positions"),
+    Option("t", float, 0.0, ("fock-density",), "sample time"),
+    Option("out", str, None, SCENARIOS, "output path; stdout when absent"),
+)
+_OPTIONS = {opt.key: opt for opt in OPTIONS}
 
 
 @dataclass
 class RunConfig:
+    """A validated run.
+
+    `options` maps the key of every option the scenario reads to its value,
+    with t-end and block worked out and the cutoff forced to 1 for fermions.
+    `echo` is the `config` object of a JSON report.
+    """
+
     well: WellConfig
     scenario: str
     grid: TimeGrid
-    fmt: str
-    out: str | None
-    state_spec: str | None
-    block: int
-    modes: int
-    statistics: Statistics
-    cutoff: int
-    particles: int
-    positions: int
-    sample_time: float
+    options: dict
     echo: dict
 
 
-def _parse_value(key: str, raw: str):
+def _convert(opt: Option, raw: str):
+    if isinstance(opt.kind, tuple):
+        if raw not in opt.kind:
+            raise ConfigError(f"{opt.key} must be one of {opt.kind}, got {raw!r}", field=opt.key)
+        return raw
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
+        return opt.kind(raw)
     except ValueError:
-        raise ConfigError(f"malformed number for '{key}': {raw!r}", field=key) from None
-    return raw
+        raise ConfigError(f"malformed number for '{opt.key}': {raw!r}", field=opt.key) from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -109,9 +148,9 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"line {lineno} is not 'key = value': {line!r}", field="config")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown config key '{key}'", field=key)
-        values[key] = _parse_value(key, raw.strip())
+        values[key] = raw.strip()
     return values
 
 
@@ -121,166 +160,83 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Infinite-square-well matrix mechanics scenarios with CSV/JSON reports.",
     )
     ap.add_argument("scenario", choices=SCENARIOS)
-    ap.add_argument("--config", help="flat key=value config file; flags override it")
-    ap.add_argument("--L", type=float, help="well width (default 1)")
-    ap.add_argument("--m", type=float, help="particle mass (default 1)")
-    ap.add_argument("--hbar", type=float, help="action quantum (default 1)")
-    ap.add_argument("--N", type=int, help="truncation dimension (default 100)")
-    ap.add_argument("--t-start", type=float, dest="t_start", help="grid start (default 0)")
-    ap.add_argument("--t-end", type=float, dest="t_end", help="grid end (default revival time)")
-    ap.add_argument("--steps", type=int, help="grid points (default 101)")
-    ap.add_argument(
-        "--state",
-        help="state spec: gaussian:center=..,width=..[,momentum=..] | eigen:n | modes:n1,n2,...",
-    )
-    ap.add_argument("--block", type=int, help="interior block size for commutator (default min(10, N//4))")
-    ap.add_argument("--modes", type=int, help="Fock modes M (default 3)")
-    ap.add_argument("--statistics", choices=("boson", "fermion"), help="default boson")
-    ap.add_argument("--cutoff", type=int, help="boson occupation cutoff (default 4; fermions fixed at 1)")
-    ap.add_argument("--particles", type=int, help="particle number for fock-density (default 2)")
-    ap.add_argument("--positions", type=int, help="sample positions for fock-density (default 50)")
-    ap.add_argument("--t", type=float, help="sample time for fock-density (default 0)")
-    ap.add_argument("--out", help="output path (default: stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    ap.add_argument("--config", help="flat key = value config file; flags override it")
+    for opt in OPTIONS:
+        default = "" if opt.default is None else f"; default {opt.default}"
+        where = "all scenarios" if opt.scenarios == SCENARIOS else ", ".join(opt.scenarios)
+        metavar = "{" + ",".join(opt.kind) + "}" if isinstance(opt.kind, tuple) else None
+        text = f"{opt.help}{default} [{where}]"
+        ap.add_argument(f"--{opt.key}", dest=opt.key, metavar=metavar, help=text)
     return ap
 
 
+def _require(v: dict, key: str, ok, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key} {rule}, got {v[key]!r}", field=key)
+
+
 def parse_config(argv) -> RunConfig:
-    """Merge flags over config-file values, apply documented defaults, validate."""
+    """Merge flags over config-file values, apply the table's defaults, validate."""
     ns = _build_parser().parse_args(argv)
-    merged = _read_config_file(ns.config) if ns.config else {}
-    flag_names = {
-        "L": "L", "m": "m", "hbar": "hbar", "N": "N",
-        "t-start": "t_start", "t-end": "t_end", "steps": "steps",
-        "state": "state", "block": "block", "modes": "modes",
-        "statistics": "statistics", "cutoff": "cutoff", "particles": "particles",
-        "positions": "positions", "t": "t", "out": "out", "format": "format",
-    }
-    for key, attr in flag_names.items():
-        v = getattr(ns, attr)
-        if v is not None:
-            merged[key] = v
+    scenario = ns.scenario
+    given = _read_config_file(ns.config) if ns.config else {}
+    given.update((key, raw) for key, raw in vars(ns).items() if key in _OPTIONS and raw is not None)
+    given = {key: _convert(_OPTIONS[key], raw) for key, raw in given.items()}
+    v = {}
+    for opt in OPTIONS:
+        if scenario in opt.scenarios:
+            if opt.notice and opt.key not in given:
+                log.info("%s not specified; defaulting to %s", opt.key, opt.default)
+            v[opt.key] = given.get(opt.key, opt.default)
 
-    def take(key, default, notice=False):
-        if key in merged:
-            return merged[key]
-        if notice:
-            log.info("%s not specified; defaulting to %s", key, default)
-        return default
-
-    L = take("L", 1.0, notice=True)
-    m = take("m", 1.0, notice=True)
-    hbar = take("hbar", 1.0, notice=True)
-    n_dim = take("N", 100, notice=True)
-    try:
-        well = WellConfig(L=L, m=m, hbar=hbar, N=n_dim)
-    except ValueError as e:
-        raise ConfigError(str(e), field="well") from None
-    if not ns.scenario.startswith("fock"):
+    for key in ("L", "m", "hbar"):
+        _require(v, key, v[key] > 0, "must be positive")
+    _require(v, "N", v["N"] >= 2, "must be at least 2")
+    well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"])
+    if scenario not in FOCK:
         try:
             _check_dense(well.N, "lower N")
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
 
-    t_start = take("t-start", 0.0)
-    t_end = take("t-end", revival_time(well))
-    steps = take("steps", 101)
-    try:
-        grid = TimeGrid(t_start, t_end, steps)
-    except ValueError as e:
-        field = "steps" if "steps" in str(e) else "t-end"
-        raise ConfigError(str(e), field=field) from None
-    sample_time = take("t", 0.0)
+    if v["t-end"] is None:
+        v["t-end"] = revival_time(well)
+    _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")
+    min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
+    _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
+    grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
     # every evolution phase is an integer up to N^2 times (omega_1 t)
-    for key, t in (("t-start", t_start), ("t-end", t_end), ("t", sample_time)):
-        if not np.isfinite(well.N**2 * (well.base_frequency * t)):
-            raise ConfigError(
-                f"{key} = {t} makes the phase N^2 omega_1 t overflow at N={well.N}", field=key
-            )
+    for key in ("t-start", "t-end", "t"):
+        if key in v:
+            finite = np.isfinite(well.N**2 * (well.base_frequency * v[key]))
+            _require(v, key, finite, f"makes the phase N^2 omega_1 t overflow at N={well.N}")
 
-    fmt = take("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}", field="format")
-    stats_name = take("statistics", "boson")
-    if stats_name not in ("boson", "fermion"):
-        raise ConfigError(f"statistics must be boson or fermion, got {stats_name!r}", field="statistics")
-    statistics = Statistics(stats_name)
-    cutoff = take("cutoff", 4) if statistics is Statistics.BOSON else 1
-    block = take("block", max(1, min(10, well.N // 4)))
-    modes = take("modes", 3)
-    particles = take("particles", 2)
-    positions = take("positions", 50)
-    state_spec = merged.get("state")
-    out = merged.get("out")
+    if scenario in ("spread", "ehrenfest"):
+        _require(v, "state", v["state"], f"is required by {scenario}")
+    if scenario == "commutator":
+        if v["block"] is None:
+            v["block"] = max(1, min(10, well.N // 4))
+        _require(v, "block", 1 <= v["block"] <= well.N / 4, f"must be in 1..N/4 = {well.N / 4:g}")
+    if scenario in FOCK:
+        if v["statistics"] == "fermion":
+            v["cutoff"] = 1
+        _require(v, "modes", 1 <= v["modes"] <= well.N, f"must be in 1..N = {well.N}")
+        _require(v, "cutoff", v["cutoff"] >= 1, "must be at least 1")
+        try:
+            _fock_basis(v)
+        except ValueError as e:  # modes and cutoff are in range, so only the size cap is left
+            raise ConfigError(str(e), field="modes") from None
+    if scenario == "fock-density":
+        # a boson condensate fills one mode up to the cutoff; fermions take one mode each
+        most = v["cutoff"] if v["statistics"] == "boson" else v["modes"]
+        rule = f"must be in 0..{most} for {v['statistics']}s"
+        _require(v, "particles", 0 <= v["particles"] <= most, rule)
+        _require(v, "positions", v["positions"] >= 2, "must be at least 2")
 
-    if ns.scenario in ("spread", "ehrenfest"):
-        if not state_spec:
-            raise ConfigError(f"scenario '{ns.scenario}' requires a state spec", field="state")
-        if grid.steps < 3:
-            raise ConfigError(
-                f"scenario '{ns.scenario}' needs steps >= 3 for its time derivatives, got {grid.steps}",
-                field="steps",
-            )
-    if ns.scenario == "commutator" and 4 * block > well.N:
-        raise ConfigError(f"block {block} needs N >= {4 * block}, got N={well.N}", field="block")
-    if ns.scenario.startswith("fock"):
-        if modes < 1 or modes > well.N:
-            raise ConfigError(f"modes must be in 1..{well.N}, got {modes}", field="modes")
-        if particles < 0:
-            raise ConfigError("particles must be nonnegative", field="particles")
-        if statistics is Statistics.BOSON and particles > cutoff:
-            raise ConfigError(
-                f"particles {particles} exceeds boson cutoff {cutoff}", field="particles"
-            )
-        if statistics is Statistics.FERMION and particles > modes:
-            raise ConfigError(
-                f"cannot place {particles} fermions in {modes} modes", field="particles"
-            )
-        if positions < 2:
-            raise ConfigError("positions must be at least 2", field="positions")
-
-    echo = {
-        "scenario": ns.scenario,
-        "L": float(well.L),
-        "m": float(well.m),
-        "hbar": float(well.hbar),
-        "N": well.N,
-        "t_start": float(grid.t_start),
-        "t_end": float(grid.t_end),
-        "steps": grid.steps,
-        "format": fmt,
-    }
-    if state_spec:
-        echo["state"] = state_spec
-    if ns.scenario == "commutator":
-        echo["block"] = block
-    if ns.scenario.startswith("fock"):
-        echo.update(
-            {
-                "modes": modes,
-                "statistics": statistics.value,
-                "cutoff": cutoff,
-                "particles": particles,
-                "positions": positions,
-                "t": float(sample_time),
-            }
-        )
-    return RunConfig(
-        well=well,
-        scenario=ns.scenario,
-        grid=grid,
-        fmt=fmt,
-        out=out,
-        state_spec=state_spec,
-        block=block,
-        modes=modes,
-        statistics=statistics,
-        cutoff=cutoff,
-        particles=particles,
-        positions=positions,
-        sample_time=sample_time,
-        echo=echo,
-    )
+    # the output path is left out so that it cannot change the report's bytes
+    echo = {"scenario": scenario}
+    echo.update((key.replace("-", "_"), x) for key, x in v.items() if x is not None and key != "out")
+    return RunConfig(well=well, scenario=scenario, grid=grid, options=v, echo=echo)
 
 
 def _check_below_edge(modes, n_dim: int) -> None:
@@ -298,7 +254,7 @@ def _check_below_edge(modes, n_dim: int) -> None:
 
 
 def _build_state(rc: RunConfig) -> StateVector:
-    spec = rc.state_spec
+    spec = rc.options["state"]
     kind, _, rest = spec.partition(":")
     try:
         if kind == "eigen":
@@ -347,7 +303,7 @@ def _run_elements(rc: RunConfig):
 
 
 def _run_commutator(rc: RunConfig):
-    rep = canonical_commutator_report(rc.well, InteriorBlockSpec(rc.block))
+    rep = canonical_commutator_report(rc.well, InteriorBlockSpec(rc.options["block"]))
     names, columns = _one_row(
         [
             "n", "block", "interior_max_deviation",
@@ -397,7 +353,7 @@ def _run_revival(rc: RunConfig):
     t_r = revival_time(cfg)
     x0 = build_position(cfg)
     xt = evolve(x0, cfg, t_r)
-    if rc.state_spec:
+    if rc.options["state"]:
         state = _build_state(rc)
     else:
         state = gaussian_packet(cfg, cfg.L / 2.0, cfg.L / 20.0, 0.0)
@@ -410,21 +366,18 @@ def _run_revival(rc: RunConfig):
     return names, columns, {"dim": cfg.N}
 
 
-def _fock_basis(rc: RunConfig) -> FockBasis:
-    try:
-        return FockBasis(rc.modes, rc.statistics, rc.cutoff)
-    except ValueError as e:
-        field = "cutoff" if "cutoff" in str(e) else "modes"
-        raise ConfigError(str(e), field=field) from None
+def _fock_basis(options: dict) -> FockBasis:
+    return FockBasis(options["modes"], Statistics(options["statistics"]), options["cutoff"])
 
 
 def _fock_basis_and_state(rc: RunConfig):
-    basis = _fock_basis(rc)
-    if rc.statistics is Statistics.BOSON:
-        state = condensate_state(basis, rc.particles)
+    basis = _fock_basis(rc.options)
+    particles = rc.options["particles"]
+    if basis.statistics is Statistics.BOSON:
+        state = condensate_state(basis, particles)
     else:
         occ = np.zeros(basis.modes, dtype=np.int64)
-        occ[: rc.particles] = 1  # fill the lowest modes
+        occ[:particles] = 1  # fill the lowest modes
         coeffs = np.zeros(basis.dimension, dtype=complex)
         coeffs[basis.index_of(occ)] = 1.0
         state = FockState(basis, coeffs)
@@ -434,17 +387,20 @@ def _fock_basis_and_state(rc: RunConfig):
 def _run_fock_density(rc: RunConfig):
     basis, state = _fock_basis_and_state(rc)
     cfg = rc.well
-    xs = np.linspace(0.0, cfg.L, rc.positions)
-    density = density_expectation(state, cfg, basis, xs, rc.sample_time)
-    # exact to rounding: the density is a trigonometric polynomial of degree 2M <= 2N
-    nodes, weights = quadrature_rule(cfg)
-    total = weights @ density_expectation(state, cfg, basis, nodes, rc.sample_time)
-    diag = {"particle_number": rc.particles, "density_integral": float(total)}
+    t = rc.options["t"]
+    xs = np.linspace(0.0, cfg.L, rc.options["positions"])
+    density = density_expectation(state, cfg, basis, xs, t)
+    # exact to rounding: the density is a trigonometric polynomial of degree 2M, so
+    # the rule for M modes suffices whatever N is
+    rule_cfg = replace(cfg, N=max(2, basis.modes))
+    nodes, weights = quadrature_rule(rule_cfg)
+    total = weights @ density_expectation(state, rule_cfg, basis, nodes, t)
+    diag = {"particle_number": rc.options["particles"], "density_integral": float(total)}
     return ["x", "density"], [xs, density], diag
 
 
 def _run_fock_algebra(rc: RunConfig):
-    basis = _fock_basis(rc)
+    basis = _fock_basis(rc.options)
     rep = check_algebra(basis)
     names, columns = _one_row(
         [
@@ -476,12 +432,12 @@ _RUNNERS = {
 def run(rc: RunConfig) -> int:
     """Execute a validated RunConfig; write its report; return the exit status."""
     names, columns, diagnostics = _RUNNERS[rc.scenario](rc)
-    if rc.fmt == "json":
+    if rc.options["format"] == "json":
         text = render_json(rc.echo, names, columns, diagnostics)
     else:
         text = render_csv(names, columns)
-    if rc.out:
-        atomic_write_text(rc.out, text)
+    if rc.options["out"]:
+        atomic_write_text(rc.options["out"], text)
     else:
         sys.stdout.write(text)
     return 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matrixwell.cli import main, parse_config, run
+from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
 from matrixwell.errors import ConfigError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -71,12 +71,96 @@ class TestParseConfig:
 
     def test_fermion_cutoff_is_forced_to_one(self):
         rc = parse_config(["fock-algebra", "--statistics", "fermion", "--cutoff", "7"])
-        assert rc.cutoff == 1
+        assert rc.options["cutoff"] == 1
 
     def test_boson_particles_respect_cutoff(self):
         with pytest.raises(ConfigError) as err:
             parse_config(["fock-density", "--particles", "9", "--cutoff", "4"])
         assert err.value.field == "particles"
+
+
+# a value for every OPTIONS row that each scenario reading it accepts and
+# that differs from the row's default
+SAMPLES = {
+    "L": "2.5", "m": "0.5", "hbar": "1.5", "N": "64", "t-start": "0.25", "t-end": "0.75",
+    "steps": "7", "format": "json", "state": "eigen:2", "block": "3", "modes": "2",
+    "statistics": "fermion", "cutoff": "3", "particles": "1", "positions": "9", "t": "0.5",
+    "out": "report.txt",
+}
+
+
+class TestOptionTable:
+    def test_every_row_has_a_sample(self):
+        assert sorted(SAMPLES) == sorted(opt.key for opt in OPTIONS)
+
+    @pytest.mark.parametrize("opt", OPTIONS, ids=lambda opt: opt.key)
+    def test_flag_and_config_file_forms_agree(self, opt, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{opt.key} = {SAMPLES[opt.key]}\n", encoding="utf-8")
+        for scenario in SCENARIOS:
+            base = [scenario]
+            if scenario in ("spread", "ehrenfest") and opt.key != "state":
+                base += ["--state", "eigen:1"]
+            flag = parse_config(base + [f"--{opt.key}", SAMPLES[opt.key]])
+            if scenario in opt.scenarios:
+                assert flag == parse_config(base + ["--config", str(cfgfile)]), scenario
+                if opt.key != "state" or scenario == "revival":
+                    assert flag != parse_config(base), scenario
+            else:  # ignored: neither read, checked nor echoed
+                assert flag == parse_config(base), scenario
+
+    def test_help_lists_every_option_with_default_and_scenarios(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for opt in OPTIONS:
+            start = text.index(f"--{opt.key} ", text.index("options:"))
+            entry = text[start : text.find(" --", start + 1)]
+            if opt.default is not None:
+                assert f"default {opt.default}" in entry, opt.key
+            where = ["all scenarios"] if opt.scenarios == SCENARIOS else opt.scenarios
+            assert all(name in entry for name in where), opt.key
+
+    @pytest.mark.parametrize(
+        "scenario, key, raw",
+        [
+            ("elements", "N", "lots"),
+            ("elements", "N", "2.5"),
+            ("elements", "N", "1"),
+            ("elements", "L", "-2"),
+            ("elements", "format", "xml"),
+            ("fock-algebra", "statistics", "x"),
+            ("fock-algebra", "cutoff", "0"),
+            ("commutator", "block", "0"),
+            ("commutator", "block", "-3"),
+        ],
+    )
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_bad_value_names_its_key(self, scenario, key, raw, form, tmp_path, capsys):
+        if form == "flag":
+            argv = [scenario, f"--{key}", raw]
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{key} = {raw}\n", encoding="utf-8")
+            argv = [scenario, "--config", str(cfgfile)]
+        assert main(argv) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == key
+
+    @pytest.mark.parametrize(
+        "args", [["--cutoff", "1"], ["--statistics", "fermion", "--modes", "1"]]
+    )
+    def test_density_options_scoped_to_fock_density(self, args, tmp_path, capsys):
+        # the default particles=2 does not fit either basis; only fock-density reads it
+        out = tmp_path / "alg.json"
+        assert run_cli(["fock-algebra", *args], out=out, fmt="json") == 0
+        config = json.loads(out.read_text())["config"]
+        assert not {"particles", "positions", "t", "state"} & set(config)
+        assert run_cli(["fock-density", *args]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["field"] == "particles"
 
 
 class TestScenarioOutputs:
@@ -131,6 +215,24 @@ class TestScenarioOutputs:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["diagnostics"]["density_integral"] == pytest.approx(3.0, abs=1e-6)
+
+    def test_fock_density_integral_follows_modes_not_n(self, tmp_path):
+        # the density of M modes is integrated on the M-mode rule; the N-mode
+        # rule peaked at 139 MiB here
+        out = tmp_path / "density.json"
+        tracemalloc.start()
+        try:
+            rc = parse_config(
+                ["fock-density", "--statistics", "fermion", "--modes", "6", "--particles", "3",
+                 "--N", "20000", "--format", "json", "--out", str(out)]
+            )
+            assert run(rc) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        doc = json.loads(out.read_text())
+        assert abs(doc["diagnostics"]["density_integral"] - 3.0) <= 1e-12
 
     def test_stdout_when_no_output_path(self, capsys):
         assert run_cli(["commutator", "--N", "40", "--block", "4"]) == 0
