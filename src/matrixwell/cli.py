@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from .dynamics import (
     StateVector,
     TimeGrid,
-    dispersion,
+    _position_spread,
     ehrenfest_report,
     gaussian_packet,
     revival_time,
@@ -40,10 +41,10 @@ from .fock import (
 )
 from .operators import (
     InteriorBlockSpec,
+    _position_evolution_checks,
     build_momentum,
     build_position,
     canonical_commutator_report,
-    evolve,
 )
 from .reports import atomic_write_text, render_csv, render_json
 from .well import WellConfig, _check_dense, quadrature_rule
@@ -189,10 +190,19 @@ def parse_config(argv) -> RunConfig:
                 log.info("%s not specified; defaulting to %s", opt.key, opt.default)
             v[opt.key] = given.get(opt.key, opt.default)
 
-    for key in ("L", "m", "hbar"):
-        _require(v, key, v[key] > 0, "must be positive")
+    scales = ("L", "m", "hbar")
+    for key in scales:
+        _require(v, key, 0 < v[key] < math.inf, "must be positive and finite")
     _require(v, "N", v["N"] >= 2, "must be at least 2")
     well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"])
+    try:
+        timescales = (revival_time(well), well.base_frequency)
+    except (OverflowError, ZeroDivisionError):  # L**2 out of range
+        timescales = (math.inf,)
+    # blame the scale farthest from 1; L enters both squared
+    worst = max(scales, key=lambda k: abs(math.log(v[k])) * (2 if k == "L" else 1))
+    rule = "puts the revival time or omega_1 out of floating-point range"
+    _require(v, worst, all(0 < x < math.inf for x in timescales), rule)
     if scenario not in FOCK:
         try:
             _check_dense(well.N, "lower N")
@@ -214,6 +224,7 @@ def parse_config(argv) -> RunConfig:
     if scenario in ("spread", "ehrenfest"):
         _require(v, "state", v["state"], f"is required by {scenario}")
     if scenario == "commutator":
+        _require(v, "N", v["N"] >= 4, "must be at least 4 for commutator, whose interior block needs N/4 >= 1")
         if v["block"] is None:
             v["block"] = max(1, min(10, well.N // 4))
         _require(v, "block", 1 <= v["block"] <= well.N / 4, f"must be in 1..N/4 = {well.N / 4:g}")
@@ -321,19 +332,10 @@ def _run_commutator(rc: RunConfig):
 
 
 def _run_evolve(rc: RunConfig):
-    x0 = build_position(rc.well)
-    f0 = x0.frobenius()
     times = rc.grid.times()
-    data = np.empty((3, times.size))
-    for i, t in enumerate(times):
-        xt = evolve(x0, rc.well, float(t))
-        data[:, i] = (
-            np.abs(xt.entries - x0.entries).max(),
-            abs(xt.frobenius() - f0),
-            xt.hermiticity_defect(),
-        )
     names = ["t", "max_change_from_start", "frobenius_drift", "hermiticity_defect"]
-    return names, [times, *data], {"revival_time": revival_time(rc.well)}
+    checks = _position_evolution_checks(rc.well, times)
+    return names, [times, *checks], {"revival_time": revival_time(rc.well)}
 
 
 def _report_columns(report):
@@ -351,17 +353,15 @@ def _run_ehrenfest(rc: RunConfig):
 def _run_revival(rc: RunConfig):
     cfg = rc.well
     t_r = revival_time(cfg)
-    x0 = build_position(cfg)
-    xt = evolve(x0, cfg, t_r)
     if rc.options["state"]:
         state = _build_state(rc)
     else:
         state = gaussian_packet(cfg, cfg.L / 2.0, cfg.L / 20.0, 0.0)
-    dx0 = dispersion(state, x0)
-    dxr = dispersion(state, xt)
+    change = _position_evolution_checks(cfg, np.array([t_r]))[0, 0]
+    dx0, dxr = _position_spread(state, cfg, np.array([0.0, t_r]))
     names, columns = _one_row(
         ["t_r", "max_position_change", "dx_initial", "dx_revival", "dx_gap"],
-        [t_r, float(np.abs(xt.entries - x0.entries).max()), dx0, dxr, abs(dxr - dx0)],
+        [t_r, float(change), float(dx0), float(dxr), float(abs(dxr - dx0))],
     )
     return names, columns, {"dim": cfg.N}
 

@@ -258,13 +258,36 @@ def xt_x0_commutator(cfg: WellConfig, t: float) -> OperatorMatrix:
     return commutator(evolve(x, cfg, t), x)
 
 
+def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray):
+    """Phases exp(-i n^2 omega_1 t) and columns C = a exp(-i n^2 omega_1 t), one per time.
+
+    The phase is the integer n^2 times the one float omega_1 t, which lands
+    on multiples of 2 pi at the revival time.
+    """
+    n2 = cfg.mode_numbers() ** 2
+    phase = np.exp(-1j * (n2[:, None] * (cfg.base_frequency * times[None, :])))
+    return phase, state.coeffs[:, None] * phase
+
+
+def _moments(op: np.ndarray, c: np.ndarray):
+    """W = O C, <O> = Re sum conj(C) W and <O^2> = sum |W|^2 per column of C, O Hermitian."""
+    w = op @ c
+    cc = c.conj()  # named: numpy may multiply into an unnamed temporary with other rounding
+    return w, np.real(np.sum(cc * w, axis=0)), np.sum(np.abs(w) ** 2, axis=0)
+
+
+def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> np.ndarray:
+    """Delta x(t) at each time, from one product X C over the Schrodinger columns."""
+    _, c = _schrodinger_columns(state, cfg, times)
+    _, mean, second = _moments(build_position(cfg).entries, c)
+    return _std_from_moments(second, mean, "dx(t)")
+
+
 def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: dict) -> RunReport:
     """Schrodinger-picture columns C = a exp(-i n^2 omega_1 t), _SERIES_BLOCK samples at a time.
 
     <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C per
-    operator and block replaces a phase matrix per sample.  The phase is
-    the integer n^2 times the one float omega_1 t, which lands on multiples
-    of 2 pi at the revival time.
+    operator and block (`_moments`) replaces a phase matrix per sample.
     """
     if state.dim != cfg.N:
         raise ValueError(f"state dimension {state.dim} does not match cfg.N={cfg.N}")
@@ -275,7 +298,6 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: di
     x = build_position(cfg).entries
     p = build_momentum(cfg).entries
     f0 = -1j * (_phase_exponents(cfg) * cfg.base_frequency) * p
-    n2 = cfg.mode_numbers() ** 2
 
     a = state.coeffs
     u0 = x @ a
@@ -287,17 +309,14 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: di
     f_means = np.empty(times.size)
     for lo in range(0, times.size, _SERIES_BLOCK):
         block = slice(lo, lo + _SERIES_BLOCK)
-        phase = np.exp(-1j * (n2[:, None] * (cfg.base_frequency * times[None, block])))
-        c = a[:, None] * phase
-        wx, wp, wf = x @ c, p @ c, f0 @ c
-        cc = c.conj()
-        x_mean = np.real(np.sum(cc * wx, axis=0))
-        p_mean = np.real(np.sum(cc * wp, axis=0))
-        f_means[block] = np.real(np.sum(cc * wf, axis=0))
+        phase, c = _schrodinger_columns(state, cfg, times[block])
+        wx, x_mean, x_second = _moments(x, c)
+        _, p_mean, p_second = _moments(p, c)
+        f_means[block] = _moments(f0, c)[1]
         cols[block, 1] = x_mean
         cols[block, 2] = p_mean
-        cols[block, 3] = _std_from_moments(np.sum(np.abs(wx) ** 2, axis=0), x_mean, "dx(t)")
-        cols[block, 4] = _std_from_moments(np.sum(np.abs(wp) ** 2, axis=0), p_mean, "dp(t)")
+        cols[block, 3] = _std_from_moments(x_second, x_mean, "dx(t)")
+        cols[block, 4] = _std_from_moments(p_second, p_mean, "dp(t)")
         # <x(t) x(0)> = (X C)^dagger (phase * X a)
         cols[block, 6] = np.abs(np.imag(np.sum(wx.conj() * (phase * u0[:, None]), axis=0)))
     cols[:, 0] = times

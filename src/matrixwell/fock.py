@@ -28,13 +28,13 @@ from .well import (
     WellConfig,
     _check_dense,
     _frozen_complex,
+    _row_blocks,
     eigenfunction,
     mode_frequency,
     sine_coefficients,
 )
 
 _MAX_DIMENSION = 32768
-_PHASE_BLOCK_ELEMENTS = 2**18  # heisenberg_field applies its phases this many entries at a time
 
 
 class Statistics(enum.Enum):
@@ -390,10 +390,8 @@ def heisenberg_field(cfg: WellConfig, basis: FockBasis, x: float, t: float) -> F
     a = _field_entries(cfg, basis, x)
     q = _mode_weight_integers(basis)
     wt = cfg.base_frequency * t
-    rows = max(1, _PHASE_BLOCK_ELEMENTS // basis.dimension)
-    for start in range(0, basis.dimension, rows):
-        block = slice(start, start + rows)
-        a[block] *= np.exp(1j * ((q[block, None] - q[None, :]) * wt))
+    for lo, hi in _row_blocks(basis.dimension):
+        a[lo:hi] *= np.exp(1j * ((q[lo:hi, None] - q[None, :]) * wt))
     return _handover(basis, a)
 
 

@@ -28,6 +28,10 @@ _SINE_CHUNK = 16
 # Fock layer: 256 MiB, so N, d <= 4096.  Builders refuse more before allocating.
 _MAX_DENSE_BYTES = 256 * 2**20
 
+# Dense builders and Heisenberg phases work on this many entries at a time,
+# so their temporaries stay a small fraction of the matrix they fill.
+_ROW_BLOCK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -72,6 +76,12 @@ def _check_dense(n: int, hint: str) -> None:
             f"a dense {n} x {n} complex matrix needs {size / 2**20:.1f} MiB, above the"
             f" {_MAX_DENSE_BYTES // 2**20} MiB cap; {hint}"
         )
+
+
+def _row_blocks(n: int) -> list:
+    """(lo, hi) ranges of rows of an n x n matrix, _ROW_BLOCK_ELEMENTS entries at a time."""
+    rows = max(1, _ROW_BLOCK_ELEMENTS // n)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def _frozen_complex(entries) -> np.ndarray:

@@ -11,9 +11,12 @@ Heisenberg-picture loop (the library's `evolve`, `expectation` and
 `dispersion` at every sample) against the batched series engine, and
 `dense_check_algebra` forms the ladder relations from dense d x d
 products against the shift-form `check_algebra`, `dense_commutator_report`
-forms [x, p] from two N x N products against the O(N^2) report, and
+forms [x, p] from two N x N products against the O(N^2) report,
 `row_render_csv`/`row_render_json` format a report one cell at a time
-against the column renderer of `reports`.
+against the column renderer of `reports`, and `dense_evolve_report`/
+`dense_revival_report` evolve the whole N x N position matrix at each
+sample against the phase-exponent groups of the `evolve` and `revival`
+scenarios.
 """
 
 import json
@@ -240,6 +243,39 @@ def dense_commutator_report(cfg, block):
         worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
         edge_diagonal_min=float(diag.min()),
     )
+
+
+def dense_evolve_report(cfg, times):
+    """`evolve` scenario columns from a full `evolve(x, cfg, t)` at every sample.
+
+    Rows: max |x(t) - x(0)|, | ||x(t)||_F - ||x(0)||_F |, x(t).hermiticity_defect().
+    """
+    from matrixwell import build_position, evolve
+
+    x0 = build_position(cfg)
+    f0 = x0.frobenius()
+    data = np.empty((3, len(times)))
+    for i, t in enumerate(times):
+        xt = evolve(x0, cfg, float(t))
+        data[:, i] = (
+            np.abs(xt.entries - x0.entries).max(),
+            abs(xt.frobenius() - f0),
+            xt.hermiticity_defect(),
+        )
+    return data
+
+
+def dense_revival_report(cfg, state):
+    """`revival` scenario row (t_r, max_position_change, dx_initial, dx_revival, dx_gap)
+    from the full x(t_r) and the library's `dispersion`."""
+    from matrixwell import build_position, dispersion, evolve, revival_time
+
+    t_r = revival_time(cfg)
+    x0 = build_position(cfg)
+    xt = evolve(x0, cfg, t_r)
+    dx0 = dispersion(state, x0)
+    dxr = dispersion(state, xt)
+    return t_r, float(np.abs(xt.entries - x0.entries).max()), dx0, dxr, abs(dxr - dx0)
 
 
 def _format_float(v, digits):

@@ -134,6 +134,19 @@ class TestOptionTable:
             ("fock-algebra", "cutoff", "0"),
             ("commutator", "block", "0"),
             ("commutator", "block", "-3"),
+            ("commutator", "N", "3"),
+            ("commutator", "N", "2"),
+            # well scales that are not finite, or whose revival time or omega_1 is not
+            ("elements", "L", "inf"),
+            ("elements", "L", "nan"),
+            ("evolve", "L", "1e200"),
+            ("evolve", "L", "1e-200"),
+            ("elements", "m", "inf"),
+            ("evolve", "m", "1e308"),
+            ("evolve", "m", "1e-320"),
+            ("elements", "hbar", "inf"),
+            ("evolve", "hbar", "1e308"),
+            ("evolve", "hbar", "1e-320"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])

@@ -19,6 +19,8 @@ from matrixwell import (
     hamilton_derivative,
     identity,
     mode_frequency,
+    momentum_element,
+    position_element,
     revival_time,
 )
 
@@ -92,6 +94,39 @@ class TestSizeCap:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("name", ["build_position", "build_momentum", "evolve"])
+    def test_peak_below_one_and_a_half_matrices(self, name):
+        cfg = WellConfig(N=1024)  # 16 row blocks
+        x = build_position(cfg)
+        build = {
+            "build_position": lambda: build_position(cfg),
+            "build_momentum": lambda: build_momentum(cfg),
+            "evolve": lambda: evolve(x, cfg, 0.3),
+        }[name]
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16 * cfg.N**2
+
+    def test_row_blocks_match_closed_forms(self):
+        cfg = WellConfig(L=1.3, hbar=0.7, N=700)  # 8 row blocks, the last one short
+        x, p = build_position(cfg).entries, build_momentum(cfg).entries
+        rng = np.random.default_rng(7)
+        picks = [(k, l) for k, l in rng.integers(1, cfg.N + 1, size=(400, 2))]
+        picks += [(n, n) for n in (1, 94, 699, 700)] + [(700, 1), (1, 700), (700, 699), (94, 93)]
+        for k, l in picks:
+            assert x[k - 1, l - 1] == position_element(cfg, k, l), (k, l)
+            assert p[k - 1, l - 1] == momentum_element(cfg, k, l), (k, l)
+        # the whole-matrix product evolve used to form; the phase is a named array, since
+        # numpy may multiply into an unnamed temporary with a kernel that rounds differently
+        n2 = np.arange(1, cfg.N + 1) ** 2
+        op = OperatorMatrix(x + 1j * rng.normal(size=x.shape))
+        phase = np.exp(1j * (np.subtract.outer(n2, n2) * (cfg.base_frequency * 0.37)))
+        np.testing.assert_array_equal(evolve(op, cfg, 0.37).entries, op.entries * phase)
 
     def test_caller_array_is_copied_builder_array_is_not(self):
         a = np.zeros((2, 2), dtype=complex)

@@ -1,6 +1,7 @@
 """Property tests on random states: the series engine (N <= 64), the
-shift-form Fock layer (bases of at most 125 states) and the O(N^2)
-commutator report (N <= 200).
+shift-form Fock layer (bases of at most 125 states), the O(N^2)
+commutator report (N <= 200) and the phase-exponent groups of the
+`evolve` and `revival` scenarios (N <= 128).
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
@@ -31,7 +32,15 @@ from matrixwell import (
     revival_time,
 )
 
-from oracles import dense_check_algebra, dense_commutator_report, heisenberg_series
+from matrixwell.cli import _run_evolve, _run_revival, parse_config
+from matrixwell.dynamics import _position_spread
+from oracles import (
+    dense_check_algebra,
+    dense_commutator_report,
+    dense_evolve_report,
+    dense_revival_report,
+    heisenberg_series,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -180,3 +189,84 @@ def test_commutator_report_matches_dense_products(L, hbar, n, data):
     assert abs(got.worst_diagonal_deviation - want.worst_diagonal_deviation) <= diag_bound
     assert abs(got.edge_diagonal_min - want.edge_diagonal_min) <= diag_bound
     assert abs(got.trace_naive) <= hbar * float(np.trace(bound))
+
+
+@st.composite
+def well_flags(draw, min_n=2):
+    """Random L, m, hbar and N <= 128 as command-line flags."""
+    scale = st.floats(0.5, 2.0).map(lambda v: round(v, 6))
+    n = draw(st.integers(min_n, 128))
+    return ["--L", repr(draw(scale)), "--m", repr(draw(scale)), "--hbar", repr(draw(scale)), "--N", str(n)]
+
+
+def _evolve_columns(argv):
+    rc = parse_config(["evolve", *argv])
+    names, columns, _ = _run_evolve(rc)
+    assert names == ["t", "max_change_from_start", "frobenius_drift", "hermiticity_defect"]
+    return rc, columns, dense_evolve_report(rc.well, columns[0])
+
+
+def _drift_bound(cfg):
+    return cfg.N * np.finfo(float).eps * build_position(cfg).frobenius()
+
+
+@PROPERTY
+@given(well_flags(), st.floats(-1.0, 1.0), st.floats(0.01, 3.0), st.integers(2, 40))
+def test_evolve_report_matches_dense_evolution(flags, start, span, steps):
+    """max change and Hermiticity defect exactly as the dense x(t); drift within N eps ||x(0)||_F."""
+    t_r = revival_time(parse_config(["evolve", *flags]).well)
+    # the "=" form, since argparse reads a value like -4.5e-05 as a flag
+    grid = [f"--t-start={start * t_r!r}", f"--t-end={(start + span) * t_r!r}", f"--steps={steps}"]
+    rc, columns, want = _evolve_columns([*flags, *grid])
+    np.testing.assert_array_equal(columns[1], want[0])
+    np.testing.assert_array_equal(columns[3], want[2])
+    bound = _drift_bound(rc.well)
+    assert np.all(columns[2] <= bound)
+    assert np.all(np.abs(columns[2] - want[1]) <= bound)
+
+
+@PROPERTY
+@given(well_flags(), st.integers(1, 10))
+def test_evolve_report_at_quarter_half_and_full_revival(flags, q):
+    """d = (k - l)(k + l) is odd for k + l odd, so at t_r/4 every phase is +-i and the
+    largest change is sqrt(2) max|x_kl|; at t_r/2 it is 2 max|x_kl|; at t_r it is 0."""
+    rc, columns, want = _evolve_columns([*flags, "--steps", str(4 * q + 1)])
+    x = build_position(rc.well).entries
+    largest = float(np.abs(x - np.diag(np.diagonal(x))).max())
+    change = columns[1]
+    np.testing.assert_array_equal(change, want[0])
+    assert abs(change[q] - np.sqrt(2.0) * largest) <= 1e-9 * largest
+    assert abs(change[2 * q] - 2.0 * largest) <= 1e-9 * largest
+    assert change[0] == 0.0 and change[4 * q] <= 1e-9 * largest
+    assert np.all(columns[3] == 0.0)
+
+
+@PROPERTY
+@given(well_flags(min_n=8), st.data())
+def test_revival_report_matches_dense_evolution(flags, data):
+    """t_r and max_position_change exactly as the dense x(t_r); dx_* to 1e-12 relative."""
+    n = int(flags[-1])
+    modes = data.draw(st.lists(st.integers(1, 3 * n // 4), min_size=1, max_size=6, unique=True))
+    rc = parse_config(["revival", *flags, "--state", "modes:" + ",".join(map(str, modes))])
+    from matrixwell.cli import _build_state
+
+    names, columns, _ = _run_revival(rc)
+    got = dict(zip(names, (c[0] for c in columns)))
+    t_r, change, dx0, dxr, _ = dense_revival_report(rc.well, _build_state(rc))
+    assert (got["t_r"], got["max_position_change"]) == (t_r, change)
+    assert got["dx_initial"] == pytest.approx(dx0, rel=1e-12)
+    assert got["dx_revival"] == pytest.approx(dxr, rel=1e-12)
+    assert got["dx_gap"] <= 1e-12 * dx0
+
+
+@PROPERTY
+@given(well_and_state(), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_position_spread_matches_dispersion_of_evolved_x(drawn, periods):
+    """Delta x(t) from the Schrodinger columns equals dispersion(state, evolve(x, t))."""
+    from matrixwell import dispersion, evolve
+
+    cfg, state = drawn
+    times = np.array(periods) * revival_time(cfg)
+    x = build_position(cfg)
+    want = [dispersion(state, evolve(x, cfg, float(t))) for t in times]
+    np.testing.assert_allclose(_position_spread(state, cfg, times), want, rtol=1e-12)
