@@ -62,6 +62,7 @@ SCENARIOS = (
     "fock-algebra",
 )
 FOCK = ("fock-density", "fock-algebra")
+GRID = ("evolve", "spread", "ehrenfest")
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,9 @@ OPTIONS = (
     Option("m", float, 1.0, SCENARIOS, "particle mass", notice=True),
     Option("hbar", float, 1.0, SCENARIOS, "action quantum", notice=True),
     Option("N", int, 100, SCENARIOS, "truncation dimension", notice=True),
-    Option("t-start", float, 0.0, SCENARIOS, "grid start"),
-    Option("t-end", float, None, SCENARIOS, "grid end; default one revival period"),
-    Option("steps", int, 101, SCENARIOS, "grid points; spread and ehrenfest need at least 3"),
+    Option("t-start", float, 0.0, GRID, "grid start"),
+    Option("t-end", float, None, GRID, "grid end; default one revival period"),
+    Option("steps", int, 101, GRID, "grid points; spread and ehrenfest need at least 3"),
     Option("format", ("csv", "json"), "csv", SCENARIOS, "output format"),
     Option(
         "state", str, None, ("spread", "ehrenfest", "revival"),
@@ -114,12 +115,13 @@ class RunConfig:
 
     `options` maps the key of every option the scenario reads to its value,
     with t-end and block worked out and the cutoff forced to 1 for fermions.
-    `echo` is the `config` object of a JSON report.
+    `grid` is None for the scenarios outside GRID.  `echo` is the `config`
+    object of a JSON report.
     """
 
     well: WellConfig
     scenario: str
-    grid: TimeGrid
+    grid: TimeGrid | None
     options: dict
     echo: dict
 
@@ -176,9 +178,25 @@ def _require(v: dict, key: str, ok, rule: str) -> None:
         raise ConfigError(f"{key} {rule}, got {v[key]!r}", field=key)
 
 
+def _join_values(argv: list) -> list:
+    """`--key value` as `--key=value` for the keys of OPTIONS, unless the value starts with --.
+
+    argparse reads a value such as -4.5e-05 or -inf as a flag; joined, it
+    stays the option's value and reaches the option's checks.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and out[-1][2:] in _OPTIONS and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_config(argv) -> RunConfig:
     """Merge flags over config-file values, apply the table's defaults, validate."""
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _build_parser().parse_args(_join_values(argv))
     scenario = ns.scenario
     given = _read_config_file(ns.config) if ns.config else {}
     given.update((key, raw) for key, raw in vars(ns).items() if key in _OPTIONS and raw is not None)
@@ -209,17 +227,19 @@ def parse_config(argv) -> RunConfig:
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
 
-    if v["t-end"] is None:
-        v["t-end"] = revival_time(well)
-    _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")
-    min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
-    _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
-    grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
     # every evolution phase is an integer up to N^2 times (omega_1 t)
     for key in ("t-start", "t-end", "t"):
-        if key in v:
+        if v.get(key) is not None:
             finite = np.isfinite(well.N**2 * (well.base_frequency * v[key]))
             _require(v, key, finite, f"makes the phase N^2 omega_1 t overflow at N={well.N}")
+    grid = None
+    if scenario in GRID:
+        if v["t-end"] is None:
+            v["t-end"] = revival_time(well)
+        _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")
+        min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
+        _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
+        grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
 
     if scenario in ("spread", "ehrenfest"):
         _require(v, "state", v["state"], f"is required by {scenario}")

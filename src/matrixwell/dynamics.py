@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
     OperatorMatrix,
-    _phase_exponents,
+    _check_size,
     build_momentum,
     build_position,
     commutator,
@@ -240,16 +240,33 @@ def revival_time(cfg: WellConfig) -> float:
     return 4.0 * cfg.m * cfg.L**2 / (cfg.hbar * math.pi)
 
 
+def _wall_force(cfg: WellConfig):
+    """s, u, v of the force matrix F = dV/dx = -s (u u^T - v v^T), u_k = k, v_k = (-1)^k k.
+
+    From Hamilton's equation F = -dp/dt, F_kl = -i (omega_k - omega_l) p_kl,
+    which is -(4 hbar omega_1 / L) k l = -2 s k l for k + l odd and 0
+    otherwise, with s = hbar^2 pi^2 / (m L^3).  So
+    <F> = -s (|u^T a|^2 - |v^T a|^2) = (hbar^2 / 2m) (|psi'(L)|^2 - |psi'(0)|^2),
+    the impulse of the walls.
+    """
+    u = cfg.mode_numbers().astype(float)
+    v = np.where(cfg.mode_numbers() % 2 == 0, u, -u)
+    return cfg.hbar**2 * math.pi**2 / (cfg.m * cfg.L**3), u, v
+
+
 def force_matrix(cfg: WellConfig, t: float = 0.0) -> OperatorMatrix:
-    """Force matrix (dV/dx)(t) = -dp(t)/dt, elementwise -i(omega_k - omega_l) p_kl(t).
+    """Force matrix (dV/dx)(t) = -dp(t)/dt, the rank-2 form of `_wall_force` evolved to t.
 
     The sign follows Hamilton's equation dp/dt = -dV/dx.  Real symmetric
-    at t = 0 and Hermitian for all t.
+    at t = 0, with exact parity zeros, and Hermitian for all t.  Raises
+    ValueError before allocating above the 256 MiB cap.
     """
-    p = build_momentum(cfg)
-    domega = _phase_exponents(cfg) * cfg.base_frequency
-    f0 = OperatorMatrix(-1j * domega * p.entries)
-    return evolve(f0, cfg, t)
+    _check_size(cfg)
+    s, u, v = _wall_force(cfg)
+    f0 = np.multiply.outer(u, u)
+    f0 -= np.multiply.outer(v, v)
+    f0 *= -s
+    return evolve(OperatorMatrix(f0), cfg, t)
 
 
 def xt_x0_commutator(cfg: WellConfig, t: float) -> OperatorMatrix:
@@ -286,8 +303,9 @@ def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> 
 def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: dict) -> RunReport:
     """Schrodinger-picture columns C = a exp(-i n^2 omega_1 t), _SERIES_BLOCK samples at a time.
 
-    <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C per
-    operator and block (`_moments`) replaces a phase matrix per sample.
+    <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C for x
+    and p per block (`_moments`) replaces a phase matrix per sample, and
+    the force needs only the two sums u^T C and v^T C (`_wall_force`).
     """
     if state.dim != cfg.N:
         raise ValueError(f"state dimension {state.dim} does not match cfg.N={cfg.N}")
@@ -297,7 +315,7 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: di
         )
     x = build_position(cfg).entries
     p = build_momentum(cfg).entries
-    f0 = -1j * (_phase_exponents(cfg) * cfg.base_frequency) * p
+    s, u, v = _wall_force(cfg)
 
     a = state.coeffs
     u0 = x @ a
@@ -312,7 +330,7 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: di
         phase, c = _schrodinger_columns(state, cfg, times[block])
         wx, x_mean, x_second = _moments(x, c)
         _, p_mean, p_second = _moments(p, c)
-        f_means[block] = _moments(f0, c)[1]
+        f_means[block] = -s * (np.abs(u @ c) ** 2 - np.abs(v @ c) ** 2)
         cols[block, 1] = x_mean
         cols[block, 2] = p_mean
         cols[block, 3] = _std_from_moments(x_second, x_mean, "dx(t)")

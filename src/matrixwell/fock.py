@@ -1,20 +1,14 @@
 """Second quantization over the well's modes.
 
 Occupation-number basis for bosons (per-mode cutoff) or fermions,
-creation/annihilation matrices, field operators, the free many-body
-Hamiltonian, condensate states, and density expectations in the
-Heisenberg picture.
+the (anti)commutation check of the ladder operators, condensate states,
+and density expectations in the Heisenberg picture.
 
 Every ladder operator a_n is a partial permutation of the basis, kept in
 shift form by `_ladder`: one target row and one amplitude per column.
 `check_algebra` composes these arrays, and `density_expectation` forms
 the one-body density matrix rho_nm = <a_n^dagger a_m> from them, so
-neither builds a d x d matrix.  The dense builders (`annihilator`,
-`creator`, `number_operator`, `field_operator`, `heisenberg_field`,
-`many_body_hamiltonian`) serve small bases and refuse one whose d x d
-complex matrix would exceed the shared cap `well._MAX_DENSE_BYTES` (256 MiB),
-and each holds at most one such matrix at a time, plus row-block
-temporaries.
+neither builds a d x d matrix.
 """
 
 from __future__ import annotations
@@ -24,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .well import (
-    WellConfig,
-    _check_dense,
-    _frozen_complex,
-    _row_blocks,
-    eigenfunction,
-    mode_frequency,
-    sine_coefficients,
-)
+from .well import WellConfig, eigenfunction, sine_coefficients
 
 _MAX_DIMENSION = 32768
 
@@ -98,35 +84,6 @@ class FockBasis:
 
 
 @dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on a FockBasis.
-
-    Entries are immutable: a read-only complex C-contiguous array that owns
-    its memory is taken as is, anything else is copied.
-    """
-
-    basis: FockBasis
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = _frozen_complex(self.entries)
-        d = self.basis.dimension
-        if a.shape != (d, d):
-            raise ValueError(f"entries must be {d} x {d} for this basis, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("operator entries must be finite")
-        object.__setattr__(self, "entries", a)
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.basis, self.entries.conj().T)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if self.basis != other.basis:
-            raise ValueError("operators live on different bases")
-        return _handover(self.basis, self.entries @ other.entries)
-
-
-@dataclass(frozen=True)
 class FockState:
     """Normalized coefficient vector over a FockBasis."""
 
@@ -151,12 +108,6 @@ class FockState:
         return cls(basis, a)
 
 
-def _check_mode(basis: FockBasis, n: int) -> int:
-    if int(n) != n or not (1 <= n <= basis.modes):
-        raise ValueError(f"mode index must be in 1..{basis.modes}, got {n}")
-    return int(n)
-
-
 def _ladder(basis: FockBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Shift form of a_n: column s holds amps[s] at row target[s], and nothing else.
 
@@ -166,7 +117,6 @@ def _ladder(basis: FockBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
     with occ_n = 0 wraps to the state with occ_n = cutoff, a row a_n never
     reaches, with amplitude 0; so `target` is a permutation of the basis.
     """
-    n = _check_mode(basis, n)
     occ = basis.occupations()
     base = basis.cutoff + 1
     stride = base ** (basis.modes - n)
@@ -192,50 +142,6 @@ def _adjoint(a):
     inverse = np.empty_like(target)
     inverse[target] = np.arange(target.size)
     return inverse, amps[inverse].conj()
-
-
-def _dense_zeros(basis: FockBasis) -> np.ndarray:
-    """A zero complex d x d array, refused before allocation beyond the dense cap."""
-    d = basis.dimension
-    _check_dense(d, "check_algebra and density_expectation work on this basis without one")
-    return np.zeros((d, d), dtype=complex)
-
-
-def _handover(basis: FockBasis, a: np.ndarray) -> FockOperator:
-    """Wrap a freshly computed complex array without copying it."""
-    a.setflags(write=False)
-    return FockOperator(basis, a)
-
-
-def _dense(basis: FockBasis, shift) -> FockOperator:
-    """The dense matrix of an operator in shift form."""
-    target, amps = shift
-    a = _dense_zeros(basis)
-    a[target, np.arange(basis.dimension)] = amps
-    return _handover(basis, a)
-
-
-def annihilator(basis: FockBasis, n: int) -> FockOperator:
-    """Matrix of a_n in the occupation basis.
-
-    Bosons: <occ - e_n| a_n |occ> = sqrt(occ_n).  Fermions: amplitude
-    (-1)^(occ_1 + ... + occ_{n-1}) with the mode-1-first sign string, so
-    for example a_2 |1,1> = -|1,0>.
-    """
-    return _dense(basis, _ladder(basis, n))
-
-
-def creator(basis: FockBasis, n: int) -> FockOperator:
-    """a_n^dagger, the adjoint of annihilator(basis, n)."""
-    return _dense(basis, _adjoint(_ladder(basis, n)))
-
-
-def number_operator(basis: FockBasis, n: int) -> FockOperator:
-    """a_n^dagger a_n, diagonal with the occupation of mode n."""
-    n = _check_mode(basis, n)
-    a = _dense_zeros(basis)
-    np.fill_diagonal(a, basis.occupations()[:, n - 1])
-    return _handover(basis, a)
 
 
 @dataclass(frozen=True)
@@ -321,43 +227,6 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
     )
 
 
-def _check_position(cfg: WellConfig, x):
-    xv = np.asarray(x, dtype=float)
-    outside = ~((0.0 <= xv) & (xv <= cfg.L))
-    if np.any(outside):
-        raise ValueError(f"position {xv[outside].flat[0]} outside the well [0, {cfg.L}]")
-    return xv
-
-
-def _check_modes_fit(cfg: WellConfig, basis: FockBasis) -> None:
-    if basis.modes > cfg.N:
-        raise ValueError(f"basis uses {basis.modes} modes but cfg retains only N={cfg.N}")
-
-
-def _field_entries(cfg: WellConfig, basis: FockBasis, x: float) -> np.ndarray:
-    x = float(_check_position(cfg, x))
-    _check_modes_fit(cfg, basis)
-    total = _dense_zeros(basis)
-    for n in range(1, basis.modes + 1):
-        target, amps = _ladder(basis, n)
-        total[target, np.arange(basis.dimension)] += eigenfunction(cfg, n, x) * amps
-    return total
-
-
-def field_operator(cfg: WellConfig, basis: FockBasis, x: float) -> FockOperator:
-    """Field operator Psi(x) = sum_n psi_n(x) a_n over the retained modes."""
-    return _handover(basis, _field_entries(cfg, basis, x))
-
-
-def many_body_hamiltonian(cfg: WellConfig, basis: FockBasis) -> FockOperator:
-    """H = sum_n hbar omega_n a_n^dagger a_n, diagonal in the occupation basis."""
-    _check_modes_fit(cfg, basis)
-    freqs = np.array([mode_frequency(cfg, n) for n in range(1, basis.modes + 1)])
-    h = _dense_zeros(basis)
-    np.fill_diagonal(h, basis.occupations() @ (cfg.hbar * freqs))
-    return _handover(basis, h)
-
-
 def condensate_state(basis: FockBasis, n_particles: int) -> FockState:
     """(a_1^dagger)^N / sqrt(N!) |0>: N bosons in the lowest mode."""
     if basis.statistics is not Statistics.BOSON:
@@ -373,28 +242,6 @@ def condensate_state(basis: FockBasis, n_particles: int) -> FockState:
     return FockState(basis, a)
 
 
-def _mode_weight_integers(basis: FockBasis) -> np.ndarray:
-    """E_state / (hbar omega_1) = occ . (1, 4, 9, ...), exact integers."""
-    n2 = np.arange(1, basis.modes + 1, dtype=np.int64) ** 2
-    return basis.occupations() @ n2
-
-
-def heisenberg_field(cfg: WellConfig, basis: FockBasis, x: float, t: float) -> FockOperator:
-    """Psi(x, t) = e^{iHt/hbar} Psi(x) e^{-iHt/hbar} by exact diagonal phases.
-
-    H is diagonal, so the conjugation is elementwise: entry (r, s) picks
-    up exp(i (q_r - q_s) omega_1 t) where q is the integer spectral weight
-    of each occupation state.  Equals sum_n psi_n(x) a_n e^{-i omega_n t}.
-    The phases are applied in place, a block of rows at a time.
-    """
-    a = _field_entries(cfg, basis, x)
-    q = _mode_weight_integers(basis)
-    wt = cfg.base_frequency * t
-    for lo, hi in _row_blocks(basis.dimension):
-        a[lo:hi] *= np.exp(1j * ((q[lo:hi, None] - q[None, :]) * wt))
-    return _handover(basis, a)
-
-
 def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, t: float = 0.0):
     """<state| Psi^dagger(x,t) Psi(x,t) |state>, the expected particle density.
 
@@ -405,8 +252,12 @@ def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, 
     """
     if state.basis != basis:
         raise ValueError("state and basis do not match")
-    xs = _check_position(cfg, x)
-    _check_modes_fit(cfg, basis)
+    xs = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= xs) & (xs <= cfg.L))
+    if np.any(outside):
+        raise ValueError(f"position {xs[outside].flat[0]} outside the well [0, {cfg.L}]")
+    if basis.modes > cfg.N:
+        raise ValueError(f"basis uses {basis.modes} modes but cfg retains only N={cfg.N}")
     v = np.empty((basis.dimension, basis.modes), dtype=complex)
     for n in range(1, basis.modes + 1):
         target, amps = _ladder(basis, n)

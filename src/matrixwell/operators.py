@@ -14,7 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergentDerivative
-from .well import WellConfig, _check_dense, _frozen_complex, _row_blocks, eigen_energy
+from .well import WellConfig, _check_dense, eigen_energy
+
+# Builders and evolve work on this many entries at a time, so their
+# temporaries stay a small fraction of the matrix they fill.
+_ROW_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,17 @@ class OperatorMatrix:
     time: float | None = None
 
     def __post_init__(self):
-        a = _frozen_complex(self.entries)
+        a = self.entries
+        handed_over = (
+            isinstance(a, np.ndarray)
+            and a.dtype == np.complex128
+            and a.flags.c_contiguous
+            and a.flags.owndata
+            and not a.flags.writeable
+        )
+        if not handed_over:  # so a caller's writable array is never frozen or shared
+            a = np.array(a, dtype=complex, order="C")
+            a.setflags(write=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"operator entries must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -72,6 +86,12 @@ def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
 
 def _check_size(cfg: WellConfig) -> None:
     _check_dense(cfg.N, "lower N")
+
+
+def _row_blocks(n: int) -> list:
+    """(lo, hi) ranges of rows of an n x n matrix, _ROW_BLOCK_ELEMENTS entries at a time."""
+    rows = max(1, _ROW_BLOCK_ELEMENTS // n)
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def identity(n: int) -> OperatorMatrix:
@@ -151,12 +171,6 @@ def build_hamiltonian(cfg: WellConfig) -> OperatorMatrix:
     _check_size(cfg)
     e = np.array([eigen_energy(cfg, int(n)) for n in cfg.mode_numbers()])
     return _handover(np.diag(e).astype(complex))
-
-
-def _phase_exponents(cfg: WellConfig) -> np.ndarray:
-    """Integer matrix (k^2 - l^2); omega_k - omega_l = (k^2-l^2) * omega_1."""
-    n2 = (cfg.mode_numbers().astype(np.int64)) ** 2
-    return n2[:, None] - n2[None, :]
 
 
 def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:

@@ -24,13 +24,9 @@ _GL_ORDER = 24
 _GL_MIN_PANELS = 64
 _SINE_CHUNK = 16
 
-# One dense complex matrix, N x N for the single particle or d x d for the
-# Fock layer: 256 MiB, so N, d <= 4096.  Builders refuse more before allocating.
+# One dense complex N x N matrix: 256 MiB, so N <= 4096.  Builders refuse
+# more before allocating.
 _MAX_DENSE_BYTES = 256 * 2**20
-
-# Dense builders and Heisenberg phases work on this many entries at a time,
-# so their temporaries stay a small fraction of the matrix they fill.
-_ROW_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -76,33 +72,6 @@ def _check_dense(n: int, hint: str) -> None:
             f"a dense {n} x {n} complex matrix needs {size / 2**20:.1f} MiB, above the"
             f" {_MAX_DENSE_BYTES // 2**20} MiB cap; {hint}"
         )
-
-
-def _row_blocks(n: int) -> list:
-    """(lo, hi) ranges of rows of an n x n matrix, _ROW_BLOCK_ELEMENTS entries at a time."""
-    rows = max(1, _ROW_BLOCK_ELEMENTS // n)
-    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-
-
-def _frozen_complex(entries) -> np.ndarray:
-    """`entries` as a read-only complex C-contiguous array.
-
-    An array that already is one and owns its memory is taken without a
-    copy: a builder hands over a matrix by freezing it.  Anything else is
-    copied, so a caller's writable array is never frozen or shared.
-    """
-    a = entries
-    handed_over = (
-        isinstance(a, np.ndarray)
-        and a.dtype == np.complex128
-        and a.flags.c_contiguous
-        and a.flags.owndata
-        and not a.flags.writeable
-    )
-    if not handed_over:
-        a = np.array(entries, dtype=complex, order="C")
-        a.setflags(write=False)
-    return a
 
 
 def _check_mode(cfg: WellConfig, n: int) -> int:

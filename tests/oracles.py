@@ -5,10 +5,14 @@ from adaptive quadrature of the defining integrals, parity cosines are
 evaluated as exact integer signs, and the fermion sign convention is
 checked against a first-quantized antisymmetrized two-particle state.
 Gaussian packet coefficients come from the whole-line Fourier transform.
-Two oracles keep an earlier dense form of a library computation as the
-reference for its faster one: `heisenberg_series` runs the per-sample
+`dense_annihilator` builds a ladder operator one occupation vector at a
+time, and `dense_field` sums them into the field operator.
+Several oracles keep an earlier dense form of a library computation as
+the reference for its faster one: `heisenberg_series` runs the per-sample
 Heisenberg-picture loop (the library's `evolve`, `expectation` and
-`dispersion` at every sample) against the batched series engine, and
+`dispersion` at every sample, with the force of `dense_force_matrix`)
+against the batched series engine, `dense_force_matrix` forms the force
+as -i (omega_k - omega_l) p_kl against the rank-2 `force_matrix`,
 `dense_check_algebra` forms the ladder relations from dense d x d
 products against the shift-form `check_algebra`, `dense_commutator_report`
 forms [x, p] from two N x N products against the O(N^2) report,
@@ -137,16 +141,9 @@ def heisenberg_series(state, cfg, grid):
     read with `expectation`/`dispersion`; residuals use the same
     second-order differences as the report.
     """
-    from matrixwell import (
-        build_momentum,
-        build_position,
-        dispersion,
-        evolve,
-        expectation,
-        force_matrix,
-    )
+    from matrixwell import build_momentum, build_position, dispersion, evolve, expectation
 
-    x, p, f0 = build_position(cfg), build_momentum(cfg), force_matrix(cfg, 0.0)
+    x, p, f0 = build_position(cfg), build_momentum(cfg), dense_force_matrix(cfg)
     u0 = x.entries @ state.coeffs
     dx0 = dispersion(state, x)
     times = grid.times()
@@ -171,12 +168,54 @@ def heisenberg_series(state, cfg, grid):
     return data
 
 
-def dense_check_algebra(basis):
-    """`check_algebra` from dense d x d products of the library's `annihilator` matrices."""
-    from matrixwell import FockAlgebraReport, Statistics, annihilator
+def dense_force_matrix(cfg, t=0.0):
+    """The force matrix dV/dx = -dp/dt as -i (k^2 - l^2) omega_1 p_kl, evolved to t."""
+    from matrixwell import OperatorMatrix, build_momentum, evolve
 
-    ann = [annihilator(basis, n).entries for n in range(1, basis.modes + 1)]
-    cre = [a.conj().T for a in ann]
+    n2 = cfg.mode_numbers().astype(np.int64) ** 2
+    domega = np.subtract.outer(n2, n2) * cfg.base_frequency
+    return evolve(OperatorMatrix(-1j * domega * build_momentum(cfg).entries), cfg, t)
+
+
+def dense_annihilator(basis, n):
+    """a_n as a dense real d x d matrix, filled one occupation vector at a time.
+
+    a_n |occ> = amp |occ - e_n> for occ_n > 0: amp = sqrt(occ_n) for
+    bosons, and the mode-1-first sign (-1)^(occ_1 + ... + occ_{n-1}) for
+    fermions.
+    """
+    from matrixwell import Statistics
+
+    a = np.zeros((basis.dimension, basis.dimension))
+    for col, occ in enumerate(basis.occupations()):
+        if occ[n - 1] == 0:
+            continue
+        lower = occ.copy()
+        lower[n - 1] -= 1
+        if basis.statistics is Statistics.BOSON:
+            amp = math.sqrt(occ[n - 1])
+        else:
+            amp = -1.0 if occ[: n - 1].sum() % 2 else 1.0
+        a[basis.index_of(lower), col] = amp
+    return a
+
+
+def dense_field(cfg, basis, x, t):
+    """Psi(x, t) = sum_n psi_n(x) e^{-i omega_n t} a_n over the basis modes, as a dense matrix."""
+    total = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for n in range(1, basis.modes + 1):
+        psi = math.sqrt(2.0 / cfg.L) * math.sin(n * math.pi * x / cfg.L)
+        omega = n * n * cfg.hbar * math.pi**2 / (2.0 * cfg.m * cfg.L**2)
+        total += psi * np.exp(-1j * omega * t) * dense_annihilator(basis, n)
+    return total
+
+
+def dense_check_algebra(basis):
+    """`check_algebra` from dense d x d products of `dense_annihilator` matrices."""
+    from matrixwell import FockAlgebraReport, Statistics
+
+    ann = [dense_annihilator(basis, n) for n in range(1, basis.modes + 1)]
+    cre = [a.T for a in ann]
     d = basis.dimension
     eye = np.eye(d)
     sign = -1.0 if basis.statistics is Statistics.BOSON else 1.0  # commutator vs anticommutator

@@ -147,6 +147,12 @@ class TestOptionTable:
             ("elements", "hbar", "inf"),
             ("evolve", "hbar", "1e308"),
             ("evolve", "hbar", "1e-320"),
+            # negative values in exponent form, which argparse alone reads as flags
+            ("elements", "L", "-2e0"),
+            ("evolve", "t-start", "-inf"),
+            # a non-finite grid start, checked before the order of the grid ends
+            ("evolve", "t-start", "nan"),
+            ("evolve", "t-start", "inf"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -161,6 +167,23 @@ class TestOptionTable:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert set(diag) == {"error", "field"}
         assert diag["field"] == key
+
+    def test_negative_exponent_value_is_a_value(self):
+        rc = parse_config(["evolve", "--N", "4", "--t-start", "-4.5e-05", "--steps", "3"])
+        assert rc.grid.t_start == -4.5e-05
+        assert run(rc) == 0
+        with pytest.raises(SystemExit):  # a flag is never taken as the value before it
+            parse_config(["elements", "--out", "--format", "json"])
+
+    @pytest.mark.parametrize("scenario", ["elements", "commutator", "revival", "fock-density", "fock-algebra"])
+    def test_scenarios_without_a_grid_ignore_grid_options(self, scenario):
+        # values each grid scenario would refuse: steps below 2, a non-finite end, an end before the start
+        base = [scenario, "--N", "8"]
+        for grid in (["--steps", "1"], ["--t-end", "nan"], ["--t-start", "5", "--t-end", "1"]):
+            rc = parse_config(base + grid)
+            assert rc == parse_config(base)
+            assert rc.grid is None
+            assert not {"t_start", "t_end", "steps"} & set(rc.echo)
 
     @pytest.mark.parametrize(
         "args", [["--cutoff", "1"], ["--statistics", "fermion", "--modes", "1"]]

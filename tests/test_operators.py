@@ -16,6 +16,7 @@ from matrixwell import (
     commutator,
     commutator_trace,
     evolve,
+    force_matrix,
     hamilton_derivative,
     identity,
     mode_frequency,
@@ -81,6 +82,7 @@ class TestSizeCap:
             build_position,
             build_momentum,
             build_hamiltonian,
+            force_matrix,
             lambda cfg: evolve(identity(2), cfg, 0.1),
         ],
     )

@@ -1,7 +1,9 @@
 """Property tests on random states: the series engine (N <= 64), the
 shift-form Fock layer (bases of at most 125 states), the O(N^2)
-commutator report (N <= 200) and the phase-exponent groups of the
-`evolve` and `revival` scenarios (N <= 128).
+commutator report (N <= 200), the phase-exponent groups of the
+`evolve` and `revival` scenarios (N <= 128), and exact identities of the
+well: the rank-2 wall force, the fractional revival at t_r/4 and parity
+selection.
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
@@ -27,7 +29,6 @@ from matrixwell import (
     density_expectation,
     ehrenfest_report,
     force_matrix,
-    heisenberg_field,
     quadrature_rule,
     revival_time,
 )
@@ -38,6 +39,8 @@ from oracles import (
     dense_check_algebra,
     dense_commutator_report,
     dense_evolve_report,
+    dense_field,
+    dense_force_matrix,
     dense_revival_report,
     heisenberg_series,
 )
@@ -152,7 +155,7 @@ def test_density_matches_dense_field(drawn, fractions, periods):
     t = periods * revival_time(cfg)
     expect = []
     for x in xs:
-        v = heisenberg_field(cfg, basis, float(x), t).entries @ state.coeffs
+        v = dense_field(cfg, basis, float(x), t) @ state.coeffs
         expect.append(np.vdot(v, v).real)
     got = density_expectation(state, cfg, basis, xs, t)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 / cfg.L)
@@ -215,8 +218,7 @@ def _drift_bound(cfg):
 def test_evolve_report_matches_dense_evolution(flags, start, span, steps):
     """max change and Hermiticity defect exactly as the dense x(t); drift within N eps ||x(0)||_F."""
     t_r = revival_time(parse_config(["evolve", *flags]).well)
-    # the "=" form, since argparse reads a value like -4.5e-05 as a flag
-    grid = [f"--t-start={start * t_r!r}", f"--t-end={(start + span) * t_r!r}", f"--steps={steps}"]
+    grid = ["--t-start", repr(start * t_r), "--t-end", repr((start + span) * t_r), "--steps", str(steps)]
     rc, columns, want = _evolve_columns([*flags, *grid])
     np.testing.assert_array_equal(columns[1], want[0])
     np.testing.assert_array_equal(columns[3], want[2])
@@ -270,3 +272,77 @@ def test_position_spread_matches_dispersion_of_evolved_x(drawn, periods):
     x = build_position(cfg)
     want = [dispersion(state, evolve(x, cfg, float(t))) for t in times]
     np.testing.assert_allclose(_position_spread(state, cfg, times), want, rtol=1e-12)
+
+
+@PROPERTY
+@given(well_flags(), st.floats(-2.0, 2.0))
+def test_force_matrix_matches_dense_oracle(flags, periods):
+    """The rank-2 F equals -i (omega_k - omega_l) p_kl evolved to t, to 4 eps of max |F|."""
+    cfg = parse_config(["evolve", *flags]).well
+    t = periods * revival_time(cfg)
+    got, want = force_matrix(cfg, t).entries, dense_force_matrix(cfg, t).entries
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+def _wall_impulse(cfg, coeffs, times):
+    """(hbar^2/2m) (|psi'(L,t)|^2 - |psi'(0,t)|^2) per time, and the scale of its terms.
+
+    psi'(x, t) = sum_n a_n e^{-i omega_n t} sqrt(2/L) k_n cos(k_n x); the
+    scale takes sum_n |a_n| sqrt(2/L) k_n for each |psi'|.
+    """
+    n = np.arange(1, cfg.N + 1)
+    k = n * np.pi / cfg.L
+    c = coeffs[:, None] * np.exp(-1j * np.multiply.outer(n * n * cfg.base_frequency, times))
+    slope = np.sqrt(2.0 / cfg.L) * k
+    at_0 = np.abs(slope @ c) ** 2
+    at_L = np.abs((slope * np.cos(k * cfg.L)) @ c) ** 2
+    scale = 2.0 * float(slope @ np.abs(coeffs)) ** 2
+    return cfg.hbar**2 / (2.0 * cfg.m) * (at_L - at_0), cfg.hbar**2 / (2.0 * cfg.m) * scale
+
+
+@PROPERTY
+@given(well_and_state(), st.floats(0.05, 1.0), st.integers(3, 41))
+def test_engine_force_is_the_wall_impulse(drawn, span, steps):
+    """residual_p = |d<p>/dt + <F>| with <F> the impulse of the walls, to 1e-12 of its terms."""
+    cfg, state = drawn
+    report = ehrenfest_report(state, cfg, TimeGrid(0.0, span * revival_time(cfg), steps))
+    times = report.column("t")
+    dpdt = np.gradient(report.column("p_mean"), times[1] - times[0], edge_order=2)
+    force, scale = _wall_impulse(cfg, state.coeffs, times)
+    gap = np.abs(report.column("residual_p") - np.abs(dpdt + force))
+    assert np.all(gap <= 1e-12 * scale + 4 * np.finfo(float).eps * np.abs(dpdt))
+
+
+@PROPERTY
+@given(well_and_state(), st.integers(3, 21))
+def test_fractional_revival_at_quarter_period(drawn, steps):
+    """At t_r/4 every phase is -i (odd n) or 1 (even n): a(t_r/4) = ((1-i)/2) a - ((1+i)/2) M a,
+    (M a)_n = (-1)^(n+1) a_n, the mirror psi(x) -> psi(L - x)."""
+    cfg, state = drawn
+    report = ehrenfest_report(state, cfg, TimeGrid(0.0, revival_time(cfg) / 4.0, steps))
+    mirror = np.where(cfg.mode_numbers() % 2 == 1, 1.0, -1.0) * state.coeffs
+    quarter = StateVector((1 - 1j) / 2 * state.coeffs - (1 + 1j) / 2 * mirror)
+    again = ehrenfest_report(quarter, cfg, TimeGrid(0.0, 1.0, 3))
+    scale = _scales(report, cfg, state)
+    columns = slice(1, 5)  # <x>, <p>, dx, dp
+    gap = np.abs(report.data[-1, columns] - again.data[0, columns]) / scale[columns]
+    assert gap.max() <= 1e-10, gap
+
+
+@PROPERTY
+@given(well_and_state(), st.integers(0, 1), st.floats(0.05, 1.0), st.integers(3, 41))
+def test_parity_selection(drawn, parity, span, steps):
+    """A state of one mode parity keeps <p> = 0 exactly and <x> = L/2 at every time;
+    F_kl is exactly 0 for k + l even."""
+    cfg, state = drawn
+    coeffs = np.where(cfg.mode_numbers() % 2 == parity, state.coeffs, 0.0)
+    if not np.any(coeffs):
+        coeffs[1 - parity] = 1.0  # mode 1 or 2
+    grid = TimeGrid(0.0, span * revival_time(cfg), steps)
+    report = ehrenfest_report(StateVector(coeffs), cfg, grid)
+    assert np.all(report.column("p_mean") == 0.0)
+    assert np.all(np.abs(report.column("x_mean") - cfg.L / 2.0) <= 4 * np.finfo(float).eps * cfg.L)
+    k = cfg.mode_numbers()
+    even = np.equal.outer(k % 2, k % 2)
+    assert np.all(force_matrix(cfg, grid.t_end).entries[even] == 0.0)
