@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    RunReport,
     StateVector,
     TimeGrid,
     _position_spread,
@@ -47,7 +48,7 @@ from .operators import (
     canonical_commutator_report,
 )
 from .reports import atomic_write_text, render_csv, render_json
-from .well import WellConfig, _check_dense, quadrature_rule
+from .well import _MAX_DENSE_BYTES, WellConfig, _check_dense, quadrature_rule
 
 log = logging.getLogger("matrixwell")
 
@@ -63,6 +64,15 @@ SCENARIOS = (
 )
 FOCK = ("fock-density", "fock-algebra")
 GRID = ("evolve", "spread", "ehrenfest")
+_EVOLVE_COLUMNS = ("t", "max_change_from_start", "frobenius_drift", "hermiticity_defect")
+_DENSITY_COLUMNS = ("x", "density")
+# the option that sets the rows of a scenario's float64 report table, and its columns
+_TABLE_ROWS = {
+    "evolve": ("steps", len(_EVOLVE_COLUMNS)),
+    "spread": ("steps", len(RunReport.COLUMNS)),
+    "ehrenfest": ("steps", len(RunReport.COLUMNS)),
+    "fock-density": ("positions", len(_DENSITY_COLUMNS)),
+}
 
 
 @dataclass(frozen=True)
@@ -240,6 +250,12 @@ def parse_config(argv) -> RunConfig:
         min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
         _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
         grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
+    if scenario in _TABLE_ROWS:
+        key, width = _TABLE_ROWS[scenario]
+        size = 8 * width * v[key]
+        cap = _MAX_DENSE_BYTES // 2**20
+        rule = f"asks for a {size / 2**20:.1f} MiB report table, above the {cap} MiB cap"
+        _require(v, key, size <= _MAX_DENSE_BYTES, rule)
 
     if scenario in ("spread", "ehrenfest"):
         _require(v, "state", v["state"], f"is required by {scenario}")
@@ -353,9 +369,8 @@ def _run_commutator(rc: RunConfig):
 
 def _run_evolve(rc: RunConfig):
     times = rc.grid.times()
-    names = ["t", "max_change_from_start", "frobenius_drift", "hermiticity_defect"]
     checks = _position_evolution_checks(rc.well, times)
-    return names, [times, *checks], {"revival_time": revival_time(rc.well)}
+    return list(_EVOLVE_COLUMNS), [times, *checks], {"revival_time": revival_time(rc.well)}
 
 
 def _report_columns(report):
@@ -416,7 +431,7 @@ def _run_fock_density(rc: RunConfig):
     nodes, weights = quadrature_rule(rule_cfg)
     total = weights @ density_expectation(state, rule_cfg, basis, nodes, t)
     diag = {"particle_number": rc.options["particles"], "density_integral": float(total)}
-    return ["x", "density"], [xs, density], diag
+    return list(_DENSITY_COLUMNS), [xs, density], diag
 
 
 def _run_fock_algebra(rc: RunConfig):

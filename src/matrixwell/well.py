@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # Composite Gauss-Legendre rule (quadrature_rule): nodes per panel, the
-# fewest panels, and the modes whose sine rows are formed at once (a full
-# N x nodes sine block would dominate peak memory at desk-scale N).
+# fewest panels, and the entries of one mode-by-panel block in
+# sine_coefficients (an N x panels block would dominate peak memory at
+# desk-scale N).
 _GL_ORDER = 24
 _GL_MIN_PANELS = 64
-_SINE_CHUNK = 16
+_SINE_BLOCK_ELEMENTS = 2**15
 
 # One dense complex N x N matrix: 256 MiB, so N <= 4096.  Builders refuse
 # more before allocating.
@@ -99,6 +100,18 @@ def eigenfunction(cfg: WellConfig, n: int, x):
     return float(out) if np.isscalar(x) else out
 
 
+def _panel_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of `quadrature_rule` by panel.
+
+    Returns the nodes as a (P, 24) array whose row p is p h + o_j (h = L/P,
+    so row 0 holds the offsets o_j), and the 24 weights every panel shares.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    panels = max(_GL_MIN_PANELS, cfg.N)
+    h = cfg.L / panels
+    return np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0), weights * (h / 2.0)
+
+
 def quadrature_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a composite Gauss-Legendre rule on [0, L].
 
@@ -106,12 +119,8 @@ def quadrature_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
     a period of sin(k_N x) and the rule is exact to rounding for the
     products psi_k psi_l, k, l <= N.  The nodes lie inside (0, L).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    panels = max(_GL_MIN_PANELS, cfg.N)
-    h = cfg.L / panels
-    x = (np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0)).ravel()
-    w = np.tile(weights * (h / 2.0), panels)
-    return x, w
+    x, w = _panel_rule(cfg)
+    return x.ravel(), np.tile(w, x.shape[0])
 
 
 def sine_coefficients(cfg: WellConfig, f) -> tuple[np.ndarray, float]:
@@ -120,20 +129,39 @@ def sine_coefficients(cfg: WellConfig, f) -> tuple[np.ndarray, float]:
     Both integrals use `quadrature_rule`.  `f` is called once, on the whole
     node array, and must accept an array of positions inside (0, L); it
     may return complex values.
+
+    The sines factor over the panels of the rule: node j of panel p sits at
+    p h + o_j with h = L/P, so
+
+        sin(k_n x) = sin(pi m / P) cos(k_n o_j) + cos(pi m / P) sin(k_n o_j),
+        m = n p mod 2P.
+
+    One table of 2P panel turns, indexed by the exact integer m, and the
+    local phases k_n o_j <= pi replace the N x 24P sines of a direct loop;
+    the reduction is exact where k_n x would round, so the coefficients
+    are at least as accurate as those of sin(k_n x) node by node.
     """
-    x, w = quadrature_rule(cfg)
-    fx = np.asarray(f(x), dtype=complex)
+    x, w_panel = _panel_rule(cfg)
+    panels = x.shape[0]
+    fx = np.asarray(f(x.ravel()), dtype=complex)
+    w = np.tile(w_panel, panels)
     norm2 = float(w @ (fx.real**2 + fx.imag**2))
-    wf = np.stack([w * fx.real, w * fx.imag], axis=1)
+    wf = (w * fx).reshape(panels, _GL_ORDER)
+    # column p holds the real parts of panel p's weighted samples, column P + p the imaginary
+    samples = np.concatenate([wf.real, wf.imag]).T
+    turns = np.arange(2 * panels) * (math.pi / panels)
+    turn_sin, turn_cos = np.sin(turns), np.cos(turns)
+    p = np.arange(panels)
     coeffs = np.empty(cfg.N, dtype=complex)
-    block = np.empty((min(_SINE_CHUNK, cfg.N), x.size))
-    for start in range(0, cfg.N, _SINE_CHUNK):
-        k = np.arange(start + 1, min(start + _SINE_CHUNK, cfg.N) + 1) * (math.pi / cfg.L)
-        sines = block[: k.size]
-        np.multiply.outer(k, x, out=sines)
-        np.sin(sines, out=sines)
-        re_im = sines @ wf
-        coeffs[start : start + k.size] = re_im[:, 0] + 1j * re_im[:, 1]
+    chunk = max(1, _SINE_BLOCK_ELEMENTS // panels)
+    for start in range(0, cfg.N, chunk):
+        n = np.arange(start + 1, min(start + chunk, cfg.N) + 1)
+        local = np.multiply.outer(n * (math.pi / cfg.L), x[0])
+        m = np.multiply.outer(n, p) % (2 * panels)
+        by_panel = (n.size, 2, panels)
+        re_im = np.einsum("nip,np->ni", (np.cos(local) @ samples).reshape(by_panel), turn_sin[m])
+        re_im += np.einsum("nip,np->ni", (np.sin(local) @ samples).reshape(by_panel), turn_cos[m])
+        coeffs[start : start + n.size] = re_im[:, 0] + 1j * re_im[:, 1]
     return math.sqrt(2.0 / cfg.L) * coeffs, norm2
 
 

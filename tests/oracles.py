@@ -20,7 +20,9 @@ forms [x, p] from two N x N products against the O(N^2) report,
 against the column renderer of `reports`, and `dense_evolve_report`/
 `dense_revival_report` evolve the whole N x N position matrix at each
 sample against the phase-exponent groups of the `evolve` and `revival`
-scenarios.
+scenarios, and `direct_sine_coefficients` evaluates sin(k_n x) at every
+node for every mode against the panel factorisation of
+`well.sine_coefficients`.
 """
 
 import json
@@ -132,6 +134,25 @@ def gaussian_whole_line_coefficients(L, N, center, width, k0):
 
     c = (G(k0 + k) - G(k0 - k)) / 2j
     return c / np.linalg.norm(c)
+
+
+def direct_sine_coefficients(cfg, f):
+    """`(coeffs, norm2)` of `well.sine_coefficients`, one sin(k_n x) per node and mode.
+
+    sin(k_n x) rounds its phase to about eps k_n x, up to eps N pi at the far
+    wall, so each c_n may miss by that much of sqrt(2/L) sum |w f|.
+    """
+    from matrixwell import quadrature_rule
+
+    x, w = quadrature_rule(cfg)
+    fx = np.asarray(f(x), dtype=complex)
+    norm2 = float(w @ (fx.real**2 + fx.imag**2))
+    wf = np.stack([w * fx.real, w * fx.imag], axis=1)
+    coeffs = np.empty(cfg.N, dtype=complex)
+    for n in range(1, cfg.N + 1):
+        re, im = np.sin(n * (math.pi / cfg.L) * x) @ wf
+        coeffs[n - 1] = re + 1j * im
+    return math.sqrt(2.0 / cfg.L) * coeffs, norm2
 
 
 def heisenberg_series(state, cfg, grid):

@@ -153,6 +153,11 @@ class TestOptionTable:
             # a non-finite grid start, checked before the order of the grid ends
             ("evolve", "t-start", "nan"),
             ("evolve", "t-start", "inf"),
+            # report tables above the dense-matrix byte cap; never run
+            ("evolve", "steps", "1000000000"),
+            ("spread", "steps", "1000000000"),
+            ("ehrenfest", "steps", "1000000000"),
+            ("fock-density", "positions", "1000000000"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -398,6 +403,29 @@ class TestFailureModes:
         assert peak < 4 * 2**20
         assert parse_config(["elements", "--N", "4096"]).well.N == 4096
         assert parse_config(["fock-algebra", "--N", "5000"]).well.N == 5000
+
+    @pytest.mark.parametrize(
+        "scenario, key, most",
+        [
+            ("evolve", "steps", 2**28 // (8 * 4)),
+            ("spread", "steps", 2**28 // (8 * 10)),
+            ("ehrenfest", "steps", 2**28 // (8 * 10)),
+            ("fock-density", "positions", 2**28 // (8 * 2)),
+        ],
+    )
+    def test_report_table_size_cap_refused_before_allocating(self, scenario, key, most):
+        # rows x columns x 8 B of the report table against the 256 MiB cap; parsed only
+        base = [scenario, "--N", "8", "--state", "eigen:1"]
+        assert parse_config(base + [f"--{key}", str(most)]).options[key] == most
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                parse_config(base + [f"--{key}", str(most + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == key
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "args",

@@ -115,6 +115,14 @@ class TestGaussianPacket:
         expect = gaussian_whole_line_coefficients(L, cfg.N, center, width, k0L / L)
         assert np.abs(s.coeffs - expect).max() < 1e-12
 
+    def test_fast_narrow_packet_at_n_1000(self):
+        # sum_n n |c_n - exact_n| was 2.6e-10 when each sine rounded its phase k_n x
+        L = 0.8
+        cfg = WellConfig(L=L, N=1000)
+        s = gaussian_packet(cfg, 0.3 * L, 0.01 * L, mean_momentum=cfg.hbar * 100.0 / L)
+        expect = gaussian_whole_line_coefficients(L, cfg.N, 0.3 * L, 0.01 * L, 100.0 / L)
+        assert np.arange(1, cfg.N + 1) @ np.abs(s.coeffs - expect) < 5e-11
+
     def test_mean_momentum_shifts_p_expectation(self, cfg):
         p = build_momentum(cfg)
         s = gaussian_packet(cfg, 0.5, 0.07, mean_momentum=6.0)

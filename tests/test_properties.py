@@ -1,9 +1,9 @@
 """Property tests on random states: the series engine (N <= 64), the
 shift-form Fock layer (bases of at most 125 states), the O(N^2)
 commutator report (N <= 200), the phase-exponent groups of the
-`evolve` and `revival` scenarios (N <= 128), and exact identities of the
-well: the rank-2 wall force, the fractional revival at t_r/4 and parity
-selection.
+`evolve` and `revival` scenarios (N <= 128), the panel-factorised sine
+projection (N <= 512), and exact identities of the well: the rank-2 wall
+force, the fractional revival at t_r/4 and parity selection.
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
@@ -31,6 +31,7 @@ from matrixwell import (
     force_matrix,
     quadrature_rule,
     revival_time,
+    sine_coefficients,
 )
 
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
@@ -42,6 +43,7 @@ from oracles import (
     dense_field,
     dense_force_matrix,
     dense_revival_report,
+    direct_sine_coefficients,
     heisenberg_series,
 )
 
@@ -346,3 +348,29 @@ def test_parity_selection(drawn, parity, span, steps):
     k = cfg.mode_numbers()
     even = np.equal.outer(k % 2, k % 2)
     assert np.all(force_matrix(cfg, grid.t_end).entries[even] == 0.0)
+
+
+@PROPERTY
+@given(st.floats(0.1, 10.0), st.integers(8, 512), st.sampled_from(["packet", "samples"]), st.data())
+def test_sine_coefficients_match_direct_sines(L, n, kind, data):
+    """The panel factorisation against one sine per node and mode.
+
+    `f` is a packet with a random centre, width and momentum up to k_N, or
+    random complex values at the nodes.  The direct loop rounds its phase
+    k_n x to about eps N pi at the far wall, so the two agree within
+    2 eps (1 + N pi) of sqrt(2/L) sum |w f|; the norm is the same sum.
+    """
+    cfg = WellConfig(L=L, N=n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x, w = quadrature_rule(cfg)
+    if kind == "packet":
+        c, s = rng.uniform(0.3, 0.7) * L, rng.uniform(0.02, 0.2) * L
+        q = rng.uniform(-n, n) * np.pi / L
+        fx = np.exp(-((x - c) ** 2) / (4 * s * s) + 1j * q * x)
+    else:
+        fx = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+    got, got_norm = sine_coefficients(cfg, lambda _: fx)
+    want, want_norm = direct_sine_coefficients(cfg, lambda _: fx)
+    assert got_norm == want_norm
+    scale = np.sqrt(2.0 / L) * np.sum(np.abs(w * fx))
+    assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * (1 + n * np.pi) * scale

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ class TestEigenfunction:
                 assert norm_quad(L, n) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestQuadratureRule:
+    @pytest.mark.parametrize("L, n", [(1.0, 2), (0.7, 63), (1.3, 65), (2.9, 300), (0.8, 1000)])
+    def test_nodes_and_weights_bit_for_bit(self, L, n):
+        # the whole-array formula the fock-density reports were made with
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        panels = max(64, n)
+        h = L / panels
+        x = (np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0)).ravel()
+        w = np.tile(weights * (h / 2.0), panels)
+        got_x, got_w = well.quadrature_rule(well.WellConfig(L=L, N=n))
+        assert np.array_equal(got_x, x)
+        assert np.array_equal(got_w, w)
+
+
 class TestSineCoefficients:
     def test_eigenfunction_gives_unit_vector_in_one_call(self):
         cfg = well.WellConfig(L=1.7, N=40)
@@ -98,6 +113,25 @@ class TestSineCoefficients:
         expect[6] = 1.0
         np.testing.assert_allclose(coeffs, expect, rtol=0, atol=1e-13)
         assert norm2 == pytest.approx(1.0, abs=1e-13)
+
+    def test_peak_memory_at_n_2048(self):
+        """tracemalloc peak 4.1 MiB; the one-sine-per-node-and-mode loop peaked at 8.3 MiB.
+
+        Both include the packet's own temporaries on the 49 152 nodes; the
+        mode-by-panel blocks hold 2**15 entries, so no N x P table is formed.
+        """
+        cfg = well.WellConfig(N=2048)
+
+        def packet(x):
+            return np.exp(-((x - 0.5) ** 2) / (4 * 0.05**2) + 40j * x)
+
+        tracemalloc.start()
+        try:
+            well.sine_coefficients(cfg, packet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestPositionElement:
