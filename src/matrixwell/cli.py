@@ -250,6 +250,11 @@ def parse_config(argv) -> RunConfig:
         min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
         _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
         grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
+    if scenario in ("spread", "ehrenfest"):
+        # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
+        # from a column bounded by B: |<x>| <= L, |<p>| <= hbar pi N / L
+        slope = 4.0 * max(0.5, well.L, well.hbar * math.pi * well.N / well.L) / grid.spacing
+        _require(v, "t-end", math.isfinite(slope), f"leaves a spacing {grid.spacing:.3g} too fine for d/dt")
     if scenario in _TABLE_ROWS:
         key, width = _TABLE_ROWS[scenario]
         size = 8 * width * v[key]

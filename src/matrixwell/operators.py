@@ -217,37 +217,31 @@ def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray
     gives, without forming x(t).  Off the diagonal x(t)_kl = x_kl e^{i d w t}
     with d = k^2 - l^2 is nonzero only for k + l odd, and its phase depends
     on d alone.  So the k < l entries are grouped once by |d| (6 842 groups
-    for 10 000 entries at N = 200), and each time costs a few passes over
-    the groups:
+    for 10 000 entries at N = 200), and each time forms one exponential
+    e = e^{i|d| w t} per group, as evolve forms the (l, k) phase.  numpy
+    forms the (k, l) phase e^{-i|d| w t} as its exact conjugate, so:
 
-    * |x_kl (e - 1)| grows with |x_kl| (entries of a group differ by at
-      least 1/N^2 relative, far above rounding), so the largest change is
-      that of a group's largest entry, formed as evolve's x e - x;
-    * ||x(t)||_F^2 sums each group's x_kl^2 times |e^{-i|d| w t}|^2 + |e^{i|d| w t}|^2,
-      so it may differ from the dense norm by rounding;
-    * the Hermiticity defect pairs the upper-triangle phase e^{-i|d| w t}
-      with the lower one, each formed as evolve forms it; its scale is the
-      diagonal's L/2, since |x_kl| <= 2L/pi^2 off the diagonal.
+    * |x_kl (e - 1)| is the same for e and conj(e), and grows with |x_kl|
+      (entries of a group differ by at least 1/N^2 relative, far above
+      rounding), so the largest change is that of a group's largest
+      entry, formed as evolve's x e - x;
+    * ||x(t)||_F^2 sums each group's x_kl^2 times |e|^2, once for each
+      triangle, so it may differ from the dense norm by rounding;
+    * the Hermiticity defect is 0 by that pairing.
     """
     _check_size(cfg)
     exponents, peak, weight = _position_phase_groups(cfg)
-    signed = np.stack([-exponents, exponents])  # the (k, l) and (l, k) entries, k < l
     diagonal = cfg.N * (cfg.L / 2.0) ** 2
 
-    def frobenius(squared_phases):
-        return math.sqrt(diagonal + np.sum(weight * squared_phases))
+    def frobenius(squared_phases):  # both triangles as one (2, G) array; 2 * one sum may round otherwise
+        return math.sqrt(diagonal + np.sum(weight * np.stack([squared_phases, squared_phases])))
 
-    norm0 = frobenius(np.ones(signed.shape))
-    scale = max(cfg.L / 2.0, 1e-300)
-    out = np.empty((3, len(times)))
+    norm0 = frobenius(np.ones(exponents.shape))
+    out = np.zeros((3, len(times)))
     for i, t in enumerate(times):
-        phase = np.exp(1j * (signed * (cfg.base_frequency * float(t))))
-        xt = peak * phase
-        out[:, i] = (
-            np.abs(xt - peak).max(),
-            abs(frobenius(phase.real**2 + phase.imag**2) - norm0),
-            np.abs(xt[0] - xt[1].conj()).max() / scale,
-        )
+        phase = np.exp(1j * (exponents * (cfg.base_frequency * float(t))))
+        out[0, i] = np.abs(peak * phase - peak).max()
+        out[1, i] = abs(frobenius(phase.real**2 + phase.imag**2) - norm0)
     return out
 
 

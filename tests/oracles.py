@@ -20,9 +20,10 @@ forms [x, p] from two N x N products against the O(N^2) report,
 against the column renderer of `reports`, and `dense_evolve_report`/
 `dense_revival_report` evolve the whole N x N position matrix at each
 sample against the phase-exponent groups of the `evolve` and `revival`
-scenarios, and `direct_sine_coefficients` evaluates sin(k_n x) at every
-node for every mode against the panel factorisation of
-`well.sine_coefficients`.
+scenarios, `two_phase_evolution_checks` evaluates both phases of each
+group against the one exponential per group of those scenarios, and
+`direct_sine_coefficients` evaluates sin(k_n x) at every node for every
+mode against the panel factorisation of `well.sine_coefficients`.
 """
 
 import json
@@ -323,6 +324,37 @@ def dense_evolve_report(cfg, times):
             xt.hermiticity_defect(),
         )
     return data
+
+
+def two_phase_evolution_checks(cfg, times):
+    """`evolve` scenario rows from both phases of every |k^2 - l^2| group, each formed by `np.exp`.
+
+    The earlier group loop of `operators._position_evolution_checks`: the
+    (k, l) phase e^{-i|d| w t} and the (l, k) phase e^{+i|d| w t}, k < l,
+    are evaluated separately, as `evolve` evaluates them, and the
+    Hermiticity defect compares the one with the conjugate of the other.
+    """
+    from matrixwell.operators import _position_phase_groups
+
+    exponents, peak, weight = _position_phase_groups(cfg)
+    signed = np.stack([-exponents, exponents])  # the (k, l) and (l, k) entries, k < l
+    diagonal = cfg.N * (cfg.L / 2.0) ** 2
+
+    def frobenius(squared_phases):
+        return math.sqrt(diagonal + np.sum(weight * squared_phases))
+
+    norm0 = frobenius(np.ones(signed.shape))
+    scale = max(cfg.L / 2.0, 1e-300)
+    out = np.empty((3, len(times)))
+    for i, t in enumerate(times):
+        phase = np.exp(1j * (signed * (cfg.base_frequency * float(t))))
+        xt = peak * phase
+        out[:, i] = (
+            np.abs(xt - peak).max(),
+            abs(frobenius(phase.real**2 + phase.imag**2) - norm0),
+            np.abs(xt[0] - xt[1].conj()).max() / scale,
+        )
+    return out
 
 
 def dense_revival_report(cfg, state):

@@ -158,15 +158,28 @@ class TestOptionTable:
             ("spread", "steps", "1000000000"),
             ("ehrenfest", "steps", "1000000000"),
             ("fock-density", "positions", "1000000000"),
+            # grid spacings at which np.gradient's d<x>/dt or d<p>/dt would overflow; the other
+            # options of a row follow its scenario, and are given in the same form as the key
+            pytest.param("spread --N 20 --state eigen:1 --steps 3", "t-end", "1e-320", id="spread-t-end-1e-320"),
+            pytest.param(
+                "ehrenfest --N 50 --state gaussian:center=0.4,width=0.05,momentum=10 --steps 5", "t-end", "1e-310",
+                id="ehrenfest-t-end-1e-310",
+            ),
+            pytest.param(
+                "ehrenfest --N 50 --state gaussian:center=0.4,width=0.05,momentum=10 --steps 5", "t-end", "2e-307",
+                id="ehrenfest-t-end-2e-307",
+            ),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_bad_value_names_its_key(self, scenario, key, raw, form, tmp_path, capsys):
+        scenario, *others = scenario.split()
+        given = [*zip(others[::2], others[1::2]), (f"--{key}", raw)]
         if form == "flag":
-            argv = [scenario, f"--{key}", raw]
+            argv = [scenario, *(word for pair in given for word in pair)]
         else:
             cfgfile = tmp_path / "run.cfg"
-            cfgfile.write_text(f"{key} = {raw}\n", encoding="utf-8")
+            cfgfile.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in given), encoding="utf-8")
             argv = [scenario, "--config", str(cfgfile)]
         assert main(argv) == 2
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -24,6 +24,7 @@ from matrixwell import (
     position_element,
     revival_time,
 )
+from matrixwell.well import _MAX_DENSE_BYTES
 
 
 @pytest.fixture
@@ -185,6 +186,32 @@ class TestEvolve:
     def test_dimension_mismatch(self, cfg):
         with pytest.raises(ValueError):
             evolve(identity(cfg.N + 1), cfg, 0.1)
+
+    def test_numpy_pairs_each_phase_with_its_conjugate(self):
+        """exp(-iy) is the exact conjugate of exp(iy), as the `evolve` and `revival` scenarios assume.
+
+        They form e^{i|d| w t} once per phase group and take the (k, l) phase as its
+        conjugate, which is what evolve gives only while numpy pairs the two bit for bit.
+        A numpy that breaks the pairing fails here, not in a report.  At y = 0 the two
+        differ in the sign of a zero imaginary part only.  That zero never reaches a
+        column: the columns use a phase only through |x e - x| and |e|^2, which drop the
+        sign, and y = |k^2 - l^2| w t is 0 only where w t is, since k + l is odd.
+        """
+        rng = np.random.default_rng(11)
+        n = math.isqrt(_MAX_DENSE_BYTES // 16)  # the largest N under the dense cap
+        d = rng.integers(1, n * n, size=200_000, endpoint=True)
+        top = math.log10(np.finfo(float).max / (n * n))  # parse_config keeps N^2 w t finite
+        w = 10.0 ** rng.uniform(-320.0, top, d.size) * rng.choice([-1.0, 1.0], d.size)
+        pair = np.exp(1j * ((-d) * w)), np.exp(1j * (d * w)).conj()
+        np.testing.assert_array_equal(pair[0].view(np.uint64), pair[1].view(np.uint64))
+
+        y = 10.0 ** rng.uniform(-320.0, 308.0, 200_000)
+        y = np.concatenate([[1e-320, 5e-324, 1e308, np.finfo(float).max], y])
+        y = np.concatenate([y, -y])
+        pair = np.exp(1j * -y), np.exp(1j * y).conj()
+        np.testing.assert_array_equal(pair[0].view(np.uint64), pair[1].view(np.uint64))
+        zero = np.exp(1j * np.array([-0.0])), np.exp(1j * np.array([0.0])).conj()
+        assert zero[0] == zero[1]  # 1 + 0j and 1 - 0j at numpy 2.4.6
 
 
 class TestCommutator:

@@ -1,7 +1,8 @@
 """Property tests on random states: the series engine (N <= 64), the
 shift-form Fock layer (bases of at most 125 states), the O(N^2)
 commutator report (N <= 200), the phase-exponent groups of the
-`evolve` and `revival` scenarios (N <= 128), the panel-factorised sine
+`evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 256
+bit for bit against both phases of each group), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
 force, the fractional revival at t_r/4 and parity selection.
 
@@ -36,6 +37,7 @@ from matrixwell import (
 
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
 from matrixwell.dynamics import _position_spread
+from matrixwell.operators import _position_evolution_checks
 from oracles import (
     dense_check_algebra,
     dense_commutator_report,
@@ -45,6 +47,7 @@ from oracles import (
     dense_revival_report,
     direct_sine_coefficients,
     heisenberg_series,
+    two_phase_evolution_checks,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -227,6 +230,26 @@ def test_evolve_report_matches_dense_evolution(flags, start, span, steps):
     bound = _drift_bound(rc.well)
     assert np.all(columns[2] <= bound)
     assert np.all(np.abs(columns[2] - want[1]) <= bound)
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+    st.integers(2, 256),
+    st.floats(-3.0, 1.0),
+    st.floats(0.01, 4.0),
+    st.integers(2, 40),
+)
+def test_evolve_checks_match_two_phase_loop_bitwise(scales, n, start, span, steps):
+    """One exponential per phase group gives the columns of both exponentials bit for bit,
+    on grids that may start before t = 0; the Hermiticity defect is exactly +0.0."""
+    L, m, hbar = scales
+    cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
+    t_r = revival_time(cfg)
+    times = np.linspace(start * t_r, (start + span) * t_r, steps)
+    got = _position_evolution_checks(cfg, times)
+    np.testing.assert_array_equal(got.view(np.uint64), two_phase_evolution_checks(cfg, times).view(np.uint64))
+    np.testing.assert_array_equal(got[2].view(np.uint64), np.zeros(steps, dtype=np.uint64))
 
 
 @PROPERTY
