@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,7 @@ OPTIONS = (
     Option(
         "state", str, None, ("spread", "ehrenfest", "revival"),
         "state spec: gaussian:center=..,width=..[,momentum=..] | eigen:n | modes:n1,n2,...;"
-        " spread and ehrenfest need one",
+        " spread and ehrenfest need one; revival defaults to gaussian:center=L/2,width=L/20",
     ),
     Option("block", int, None, ("commutator",), "interior block; default min(10, N//4), at least 1"),
     Option("modes", int, 3, FOCK, "Fock modes M"),
@@ -124,7 +124,8 @@ class RunConfig:
     """A validated run.
 
     `options` maps the key of every option the scenario reads to its value,
-    with t-end and block worked out and the cutoff forced to 1 for fermions.
+    with t-end, block and revival's state worked out and the cutoff forced
+    to 1 for fermions.
     `grid` is None for the scenarios outside GRID.  `echo` is the `config`
     object of a JSON report.
     """
@@ -233,7 +234,7 @@ def parse_config(argv) -> RunConfig:
     _require(v, worst, all(0 < x < math.inf for x in timescales), rule)
     if scenario not in FOCK:
         try:
-            _check_dense(well.N, "lower N")
+            _check_dense(well.N)
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
 
@@ -253,8 +254,9 @@ def parse_config(argv) -> RunConfig:
     if scenario in ("spread", "ehrenfest"):
         # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
         # from a column bounded by B: |<x>| <= L, |<p>| <= hbar pi N / L
-        slope = 4.0 * max(0.5, well.L, well.hbar * math.pi * well.N / well.L) / grid.spacing
-        _require(v, "t-end", math.isfinite(slope), f"leaves a spacing {grid.spacing:.3g} too fine for d/dt")
+        bound = 4.0 * max(0.5, well.L, well.hbar * math.pi * well.N / well.L)
+        fine = grid.spacing == 0.0 or not math.isfinite(bound / grid.spacing)
+        _require(v, "t-end", not fine, f"leaves a spacing {grid.spacing:.3g} too fine for d/dt")
     if scenario in _TABLE_ROWS:
         key, width = _TABLE_ROWS[scenario]
         size = 8 * width * v[key]
@@ -264,6 +266,8 @@ def parse_config(argv) -> RunConfig:
 
     if scenario in ("spread", "ehrenfest"):
         _require(v, "state", v["state"], f"is required by {scenario}")
+    if scenario == "revival" and v["state"] is None:
+        v["state"] = f"gaussian:center={well.L / 2.0!r},width={well.L / 20.0!r}"
     if scenario == "commutator":
         _require(v, "N", v["N"] >= 4, "must be at least 4 for commutator, whose interior block needs N/4 >= 1")
         if v["block"] is None:
@@ -317,6 +321,8 @@ def _build_state(rc: RunConfig) -> StateVector:
             modes = [int(s) for s in rest.split(",") if s]
             if not modes:
                 raise ValueError("empty mode list")
+            if len(set(modes)) < len(modes):
+                raise ValueError("a mode is listed twice")
             _check_below_edge(modes, rc.well.N)
             return StateVector.uniform_superposition(modes, rc.well.N)
         if kind == "gaussian":
@@ -325,6 +331,8 @@ def _build_state(rc: RunConfig) -> StateVector:
                 key, _, val = item.partition("=")
                 if key not in ("center", "width", "momentum"):
                     raise ValueError(f"unknown gaussian parameter {key!r}")
+                if key in params:
+                    raise ValueError(f"gaussian parameter {key!r} given twice")
                 params[key] = float(val)
             if "center" not in params or "width" not in params:
                 raise ValueError("gaussian needs center=.. and width=..")
@@ -340,8 +348,9 @@ def _build_state(rc: RunConfig) -> StateVector:
 # column per name, in row order, for reports.render_csv / render_json.
 
 
-def _one_row(names, values):
-    return names, [[v] for v in values]
+def _one_row(row: dict, diagnostics: dict):
+    """A runner's result for a one-row table: one column per key of `row`, in order."""
+    return list(row), [[v] for v in row.values()], diagnostics
 
 
 def _run_elements(rc: RunConfig):
@@ -356,20 +365,18 @@ def _run_elements(rc: RunConfig):
 
 def _run_commutator(rc: RunConfig):
     rep = canonical_commutator_report(rc.well, InteriorBlockSpec(rc.options["block"]))
-    names, columns = _one_row(
-        [
-            "n", "block", "interior_max_deviation",
-            "trace_re", "trace_im", "trace_naive_re", "trace_naive_im",
-            "worst_diagonal_deviation", "edge_diagonal_min",
-        ],
-        [
-            rep.dim, rep.block, rep.interior_max_deviation,
-            rep.trace.real, rep.trace.imag, rep.trace_naive.real, rep.trace_naive.imag,
-            rep.worst_diagonal_deviation, rep.edge_diagonal_min,
-        ],
-    )
-    diag = {"note": "full trace vanishes for every finite N; edge diagonal absorbs it"}
-    return names, columns, diag
+    row = {
+        "n": rep.dim,
+        "block": rep.block,
+        "interior_max_deviation": rep.interior_max_deviation,
+        "trace_re": rep.trace.real,
+        "trace_im": rep.trace.imag,
+        "trace_naive_re": rep.trace_naive.real,
+        "trace_naive_im": rep.trace_naive.imag,
+        "worst_diagonal_deviation": rep.worst_diagonal_deviation,
+        "edge_diagonal_min": rep.edge_diagonal_min,
+    }
+    return _one_row(row, {"note": "full trace vanishes for every finite N; edge diagonal absorbs it"})
 
 
 def _run_evolve(rc: RunConfig):
@@ -378,32 +385,25 @@ def _run_evolve(rc: RunConfig):
     return list(_EVOLVE_COLUMNS), [times, *checks], {"revival_time": revival_time(rc.well)}
 
 
-def _report_columns(report):
+def _run_series(rc: RunConfig):
+    series_report = spread_report if rc.scenario == "spread" else ehrenfest_report
+    report = series_report(_build_state(rc), rc.well, rc.grid)
     return list(report.COLUMNS), list(report.data.T), dict(report.meta)
-
-
-def _run_spread(rc: RunConfig):
-    return _report_columns(spread_report(_build_state(rc), rc.well, rc.grid))
-
-
-def _run_ehrenfest(rc: RunConfig):
-    return _report_columns(ehrenfest_report(_build_state(rc), rc.well, rc.grid))
 
 
 def _run_revival(rc: RunConfig):
     cfg = rc.well
     t_r = revival_time(cfg)
-    if rc.options["state"]:
-        state = _build_state(rc)
-    else:
-        state = gaussian_packet(cfg, cfg.L / 2.0, cfg.L / 20.0, 0.0)
     change = _position_evolution_checks(cfg, np.array([t_r]))[0, 0]
-    dx0, dxr = _position_spread(state, cfg, np.array([0.0, t_r]))
-    names, columns = _one_row(
-        ["t_r", "max_position_change", "dx_initial", "dx_revival", "dx_gap"],
-        [t_r, float(change), float(dx0), float(dxr), float(abs(dxr - dx0))],
-    )
-    return names, columns, {"dim": cfg.N}
+    dx0, dxr = _position_spread(_build_state(rc), cfg, np.array([0.0, t_r]))
+    row = {
+        "t_r": t_r,
+        "max_position_change": float(change),
+        "dx_initial": float(dx0),
+        "dx_revival": float(dxr),
+        "dx_gap": float(abs(dxr - dx0)),
+    }
+    return _one_row(row, {"dim": cfg.N})
 
 
 def _fock_basis(options: dict) -> FockBasis:
@@ -442,27 +442,15 @@ def _run_fock_density(rc: RunConfig):
 def _run_fock_algebra(rc: RunConfig):
     basis = _fock_basis(rc.options)
     rep = check_algebra(basis)
-    names, columns = _one_row(
-        [
-            "statistics", "modes", "cutoff",
-            "same_mode_defect", "boundary_error", "cross_mode_defect", "pair_defect",
-            "saturated_states",
-        ],
-        [
-            rep.statistics.value, rep.modes, rep.cutoff,
-            rep.same_mode_defect, rep.boundary_error, rep.cross_mode_defect, rep.pair_defect,
-            rep.saturated_states,
-        ],
-    )
-    return names, columns, {"dimension": basis.dimension}
+    return _one_row({**asdict(rep), "statistics": rep.statistics.value}, {"dimension": basis.dimension})
 
 
 _RUNNERS = {
     "elements": _run_elements,
     "commutator": _run_commutator,
     "evolve": _run_evolve,
-    "spread": _run_spread,
-    "ehrenfest": _run_ehrenfest,
+    "spread": _run_series,
+    "ehrenfest": _run_series,
     "revival": _run_revival,
     "fock-density": _run_fock_density,
     "fock-algebra": _run_fock_algebra,

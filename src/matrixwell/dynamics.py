@@ -16,17 +16,20 @@ import numpy as np
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
     OperatorMatrix,
-    _check_size,
     build_momentum,
     build_position,
     commutator,
     evolve,
 )
-from .well import WellConfig, sine_coefficients
+from .well import WellConfig, _check_dense, sine_coefficients
 
 # Time samples per block of Schrodinger columns: bounds the N x block work
 # arrays while keeping each operator product a matrix-matrix product.
 _SERIES_BLOCK = 32
+
+# The least fraction of a wavefunction's norm that the retained modes must
+# capture before project_wavefunction accepts the projection.
+_MIN_CAPTURE = 0.999
 
 
 @dataclass(frozen=True)
@@ -162,33 +165,25 @@ def projection_capture(cfg: WellConfig, f) -> float:
     return _captured(*sine_coefficients(cfg, f))
 
 
-def project_wavefunction(cfg: WellConfig, f, min_capture: float | None = 0.999) -> StateVector:
+def project_wavefunction(cfg: WellConfig, f) -> StateVector:
     """Project a wavefunction f(x) onto the retained modes and normalize.
 
     `f` is sampled once on an array of quadrature nodes (see
     `well.sine_coefficients`).  Raises ProjectionError when the first N
-    modes capture less than `min_capture` of the norm of f (the truncation
-    would silently distort the state).  Pass min_capture=None to skip the
-    check.
+    modes capture less than 0.999 of the norm of f (the truncation would
+    silently distort the state).
     """
     raw, norm2 = sine_coefficients(cfg, f)
-    if min_capture is not None:
-        captured = _captured(raw, norm2)
-        if captured < min_capture:
-            raise ProjectionError(
-                f"first {cfg.N} modes capture {captured:.6f} < {min_capture} of the norm;"
-                " increase N or widen the packet"
-            )
+    captured = _captured(raw, norm2)
+    if captured < _MIN_CAPTURE:
+        raise ProjectionError(
+            f"first {cfg.N} modes capture {captured:.6f} < {_MIN_CAPTURE} of the norm;"
+            " increase N or widen the packet"
+        )
     return StateVector(raw)
 
 
-def gaussian_packet(
-    cfg: WellConfig,
-    center: float,
-    width: float,
-    mean_momentum: float = 0.0,
-    min_capture: float = 0.999,
-) -> StateVector:
+def gaussian_packet(cfg: WellConfig, center: float, width: float, mean_momentum: float = 0.0) -> StateVector:
     """Gaussian wave packet projected onto the energy eigenbasis.
 
     The envelope is exp(-(x - center)^2 / (4 width^2)), so `width` is the
@@ -205,7 +200,7 @@ def gaussian_packet(
     def packet(x):
         return np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * k0 * x)
 
-    return project_wavefunction(cfg, packet, min_capture=min_capture)
+    return project_wavefunction(cfg, packet)
 
 
 def expectation(state: StateVector, op: OperatorMatrix) -> complex:
@@ -261,7 +256,7 @@ def force_matrix(cfg: WellConfig, t: float = 0.0) -> OperatorMatrix:
     at t = 0, with exact parity zeros, and Hermitian for all t.  Raises
     ValueError before allocating above the 256 MiB cap.
     """
-    _check_size(cfg)
+    _check_dense(cfg.N)
     s, u, v = _wall_force(cfg)
     f0 = np.multiply.outer(u, u)
     f0 -= np.multiply.outer(v, v)
@@ -392,15 +387,13 @@ class ShortTimeResiduals:
     max_index: int
 
 
-def short_time_expansion_check(
-    cfg: WellConfig, dt: float, max_index: int | None = None
-) -> ShortTimeResiduals:
-    """Frobenius norms of x(dt) - x - (p/m) dt [+ (dV/dx) dt^2 / 2m] on an interior block."""
+def short_time_expansion_check(cfg: WellConfig, dt: float) -> ShortTimeResiduals:
+    """Frobenius norms of x(dt) - x - (p/m) dt [+ (dV/dx) dt^2 / 2m] on the interior block k, l <= N/4."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    b = cfg.N // 4 if max_index is None else int(max_index)
-    if not (1 <= b <= cfg.N):
-        raise ValueError(f"max_index must be in 1..{cfg.N}")
+    b = cfg.N // 4
+    if b < 1:
+        raise ValueError(f"the interior block N // 4 is empty at N={cfg.N}; need N >= 4")
     x = build_position(cfg)
     p = build_momentum(cfg)
     f0 = force_matrix(cfg, 0.0)

@@ -2,8 +2,8 @@
 
 Builders for the position, momentum, and Hamiltonian matrices in the
 energy eigenbasis, Heisenberg-picture time evolution, commutators, the
-directional operator-derivative limit, and a truncation-aware check of
-the canonical commutation relation.
+operator-derivative limit along the identity, and a truncation-aware
+check of the canonical commutation relation.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _check_size(cfg: WellConfig) -> None:
-    _check_dense(cfg.N, "lower N")
-
-
 def _row_blocks(n: int) -> list:
     """(lo, hi) ranges of rows of an n x n matrix, _ROW_BLOCK_ELEMENTS entries at a time."""
     rows = max(1, _ROW_BLOCK_ELEMENTS // n)
@@ -146,7 +142,7 @@ def build_position(cfg: WellConfig) -> OperatorMatrix:
     ValueError before allocating when one N x N complex matrix would
     exceed 256 MiB.
     """
-    _check_size(cfg)
+    _check_dense(cfg.N)
     x = np.empty((cfg.N, cfg.N), dtype=complex)
     for lo, hi in _row_blocks(cfg.N):
         x[lo:hi] = _position_rows(cfg, lo, hi)
@@ -159,7 +155,7 @@ def build_momentum(cfg: WellConfig) -> OperatorMatrix:
     Formed a block of rows at a time; raises ValueError before allocating
     above the 256 MiB cap.
     """
-    _check_size(cfg)
+    _check_dense(cfg.N)
     p = np.empty((cfg.N, cfg.N), dtype=complex)
     for lo, hi in _row_blocks(cfg.N):
         p[lo:hi] = 1j * _momentum_rows(cfg, lo, hi)
@@ -168,9 +164,10 @@ def build_momentum(cfg: WellConfig) -> OperatorMatrix:
 
 def build_hamiltonian(cfg: WellConfig) -> OperatorMatrix:
     """Diagonal Hamiltonian diag(E_1 .. E_N); refused above the 256 MiB cap."""
-    _check_size(cfg)
-    e = np.array([eigen_energy(cfg, int(n)) for n in cfg.mode_numbers()])
-    return _handover(np.diag(e).astype(complex))
+    _check_dense(cfg.N)
+    h = np.zeros((cfg.N, cfg.N), dtype=complex)
+    np.fill_diagonal(h, [eigen_energy(cfg, int(n)) for n in cfg.mode_numbers()])
+    return _handover(h)
 
 
 def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
@@ -184,7 +181,7 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
     copy of the entries, a block of rows at a time.  Raises ValueError
     before allocating above the 256 MiB cap.
     """
-    _check_size(cfg)
+    _check_dense(cfg.N)
     if op.dim != cfg.N:
         raise ValueError(f"operator dimension {op.dim} does not match cfg.N={cfg.N}")
     n2 = cfg.mode_numbers().astype(np.int64) ** 2
@@ -229,7 +226,7 @@ def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray
       triangle, so it may differ from the dense norm by rounding;
     * the Hermiticity defect is 0 by that pairing.
     """
-    _check_size(cfg)
+    _check_dense(cfg.N)
     exponents, peak, weight = _position_phase_groups(cfg)
     diagonal = cfg.N * (cfg.L / 2.0) ** 2
 
@@ -323,7 +320,7 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
         raise ValueError(
             f"interior block {block.max_index} too large: need N >= {4 * block.max_index}, got N={cfg.N}"
         )
-    _check_size(cfg)
+    _check_dense(cfg.N)
     x, p_over_i = _position_rows(cfg, 0, cfg.N), _momentum_rows(cfg, 0, cfg.N)
     b = block.max_index
     trace_terms = -2.0 * np.einsum("kj,kj->k", x, p_over_i)  # [x, p]_kk / i
@@ -340,34 +337,26 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
     )
 
 
-def hamilton_derivative(
-    h_of,
-    at: OperatorMatrix,
-    direction: OperatorMatrix | None = None,
-    epsilon_sequence=(0.5, 0.25, 0.125, 0.0625),
-) -> OperatorMatrix:
-    """Directional operator derivative lim_{eps->0} [H(A + eps D) - H(A)] / eps.
+def hamilton_derivative(h_of, at: OperatorMatrix, epsilon_sequence=(0.5, 0.25, 0.125, 0.0625)) -> OperatorMatrix:
+    """Operator derivative along the identity, lim_{eps->0} [H(A + eps I) - H(A)] / eps.
 
-    `h_of` maps an OperatorMatrix to an OperatorMatrix; `direction`
-    defaults to the identity.  Forward differences over the strictly
-    decreasing `epsilon_sequence` are Richardson-extrapolated to eps = 0
-    (Neville's scheme, so the steps need not halve).  The default steps
-    are deliberately coarse: extrapolation removes the truncation error
-    for smooth dependence, while tiny steps only amplify the roundoff of
-    the difference quotient.  Raises NonConvergentDerivative when
-    successive extrapolants move apart instead of settling.
+    `h_of` maps an OperatorMatrix to an OperatorMatrix.  Forward
+    differences over the strictly decreasing `epsilon_sequence` are
+    Richardson-extrapolated to eps = 0 (Neville's scheme, so the steps
+    need not halve).  The default steps are deliberately coarse:
+    extrapolation removes the truncation error for smooth dependence,
+    while tiny steps only amplify the roundoff of the difference
+    quotient.  Raises NonConvergentDerivative when successive
+    extrapolants move apart instead of settling.
     """
     eps = [float(e) for e in epsilon_sequence]
     if len(eps) < 2 or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon_sequence must be strictly decreasing and positive")
-    if direction is None:
-        direction = identity(at.dim)
-    _check_same_dim(at, direction)
-
+    one = identity(at.dim).entries
     h0 = h_of(at).entries
     table = []
     for e in eps:
-        shifted = OperatorMatrix(at.entries + e * direction.entries, at.time)
+        shifted = OperatorMatrix(at.entries + e * one, at.time)
         table.append((h_of(shifted).entries - h0) / e)
 
     # Neville extrapolation in eps toward 0; diag[i] is the best estimate

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 
-def _json_value(v, digits: int = 17) -> str:
+def _json_value(v) -> str:
     """One config or diagnostics value (scalars, dicts and lists of them)."""
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -34,12 +34,12 @@ def _json_value(v, digits: int = 17) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _column_cells([v], digits, quote=True)[0]
+        return _column_cells([v], 17, quote=True)[0]
     if isinstance(v, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_value(x, digits)}" for k, x in v.items())
+        inner = ", ".join(f"{json.dumps(str(k))}: {_json_value(x)}" for k, x in v.items())
         return "{" + inner + "}"
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x, digits) for x in v) + "]"
+        return "[" + ", ".join(_json_value(x) for x in v) + "]"
     raise TypeError(f"cannot serialize {type(v).__name__} deterministically")
 
 

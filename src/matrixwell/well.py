@@ -65,13 +65,13 @@ class WellConfig:
         return np.arange(1, self.N + 1)
 
 
-def _check_dense(n: int, hint: str) -> None:
+def _check_dense(n: int) -> None:
     """Refuse a dense complex n x n matrix above _MAX_DENSE_BYTES (ValueError)."""
     size = 16 * n * n
     if size > _MAX_DENSE_BYTES:
         raise ValueError(
             f"a dense {n} x {n} complex matrix needs {size / 2**20:.1f} MiB, above the"
-            f" {_MAX_DENSE_BYTES // 2**20} MiB cap; {hint}"
+            f" {_MAX_DENSE_BYTES // 2**20} MiB cap; lower N"
         )
 
 

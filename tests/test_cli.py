@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import math
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
 from matrixwell.errors import ConfigError
@@ -169,6 +173,13 @@ class TestOptionTable:
                 "ehrenfest --N 50 --state gaussian:center=0.4,width=0.05,momentum=10 --steps 5", "t-end", "2e-307",
                 id="ehrenfest-t-end-2e-307",
             ),
+            # a grid whose spacing rounds to zero
+            pytest.param("ehrenfest --N 20 --state eigen:1 --steps 30", "t-end", "5e-324", id="ehrenfest-t-end-5e-324"),
+            # state specs that name a gaussian key or a mode twice
+            pytest.param(
+                "spread --N 20", "state", "gaussian:center=0.5,width=0.05,center=0.6", id="spread-state-center-twice"
+            ),
+            pytest.param("spread --N 20", "state", "modes:1,1", id="spread-state-mode-twice"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -236,6 +247,7 @@ class TestScenarioOutputs:
         assert run_cli(["revival", "--N", "60"], out=out, fmt="json") == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["scenario"] == "revival"
+        assert doc["config"]["state"] == "gaussian:center=0.5,width=0.05"  # the worked-out default
         row = dict(zip(doc["columns"], doc["rows"][0]))
         assert row["t_r"] == pytest.approx(4.0 / math.pi, rel=1e-15)
         assert row["max_position_change"] < 1e-12
@@ -476,6 +488,13 @@ class TestFailureModes:
         else:
             assert _build_state(rc).dim == 50
 
+    def test_default_revival_state_refused_like_a_given_one(self, capsys):
+        # the default packet of width L/20 needs more than 10 modes to capture 0.999 of its norm
+        assert run_cli(["revival", "--N", "10"]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == "state"
+
     def test_oversized_fock_basis_refused(self, capsys):
         code = run_cli(["fock-algebra", "--modes", "20"])
         assert code == 2
@@ -501,3 +520,69 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Values of each option's type for the fuzz property below, plus the floats
+# that break naive arithmetic; sizes stay far under the caps of parse_config.
+SPECIAL_FLOATS = ("0.0", "-0.0", "5e-324", "1e-310", "1e-308", "1e308", "-1e308", "inf", "-inf", "nan")
+FUZZ_INTS = {
+    "N": (-1, 64), "steps": (-1, 65), "block": (-1, 17), "modes": (-1, 4), "cutoff": (-1, 3),
+    "particles": (-1, 9), "positions": (-1, 65),
+}
+FUZZ_ALWAYS = {"N", "steps"}  # their defaults (100 and 101) are above the fuzz sizes
+
+
+def _float_text(lo, hi):
+    """A float in [lo, hi] three times in four, else one of SPECIAL_FLOATS, as text."""
+    usual = st.floats(lo, hi).map(repr)
+    return st.one_of(usual, usual, usual, st.sampled_from(SPECIAL_FLOATS))
+
+
+def _state_spec():
+    keys = {"center": _float_text(0.0, 1.0), "width": _float_text(0.0, 0.3), "momentum": _float_text(-50.0, 50.0)}
+    item = st.sampled_from(sorted(keys)).flatmap(lambda k: keys[k].map(lambda v: f"{k}={v}"))
+    mode = st.integers(-1, 70)
+    return st.one_of(
+        st.lists(item, max_size=4).map(lambda items: "gaussian:" + ",".join(items)),
+        mode.map(lambda n: f"eigen:{n}"),
+        st.lists(mode, max_size=4).map(lambda ns: "modes:" + ",".join(map(str, ns))),
+        st.sampled_from(["", "eigen:", "eigen:1.5", "plane-wave:7", "gaussian:center", "gaussian:=1"]),
+    )
+
+
+def _option_text(opt):
+    if opt.key == "state":
+        return _state_spec()
+    if isinstance(opt.kind, tuple):
+        return st.sampled_from([*opt.kind, *opt.kind, "xml"])
+    if opt.kind is int:
+        return st.integers(*FUZZ_INTS[opt.key]).map(str)
+    return _float_text(0.25, 4.0) if opt.key in ("L", "m", "hbar") else _float_text(-3.0, 3.0)
+
+
+@st.composite
+def cli_runs(draw):
+    """A scenario and flags for a random subset of the options it reads (never `out`)."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    argv = [scenario]
+    for opt in OPTIONS:
+        if scenario not in opt.scenarios or opt.key == "out":
+            continue
+        if opt.key in FUZZ_ALWAYS or draw(st.booleans()):
+            argv += [f"--{opt.key}", draw(_option_text(opt))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cli_runs())
+def test_fuzzed_options_exit_cleanly(argv):
+    """Every run exits 0, or 1 or 2 with a one-line JSON diagnostic naming a field or a kind."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue()
+        return
+    assert code in (1, 2), code
+    diag = json.loads(err.getvalue().strip().splitlines()[-1])
+    assert set(diag) == {"error", "field" if code == 2 else "kind"}, diag

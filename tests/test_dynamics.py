@@ -330,6 +330,11 @@ class TestShortTimeExpansion:
         assert r.r1 == 0.0
         assert r.r2 == 0.0
 
+    def test_block_is_a_quarter_of_n(self):
+        assert short_time_expansion_check(WellConfig(N=23), 1e-6).max_index == 5
+        with pytest.raises(ValueError, match="N >= 4"):  # the block N // 4 would be empty
+            short_time_expansion_check(WellConfig(N=3), 1e-6)
+
     def test_second_order_coefficient(self):
         # FD second derivative of x(t) at t=0 equals -force/m on the interior block
         cfg = WellConfig(N=100)

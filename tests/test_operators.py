@@ -98,13 +98,14 @@ class TestSizeCap:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("name", ["build_position", "build_momentum", "evolve"])
+    @pytest.mark.parametrize("name", ["build_position", "build_momentum", "build_hamiltonian", "evolve"])
     def test_peak_below_one_and_a_half_matrices(self, name):
         cfg = WellConfig(N=1024)  # 16 row blocks
         x = build_position(cfg)
         build = {
             "build_position": lambda: build_position(cfg),
             "build_momentum": lambda: build_momentum(cfg),
+            "build_hamiltonian": lambda: build_hamiltonian(cfg),
             "evolve": lambda: evolve(x, cfg, 0.3),
         }[name]
         tracemalloc.start()

@@ -4,11 +4,14 @@ commutator report (N <= 200), the phase-exponent groups of the
 `evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 256
 bit for bit against both phases of each group), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
-force, the fractional revival at t_r/4 and parity selection.
+force, the fractional revivals at t_r/4 and at random coprime p/q t_r with
+q <= 12 (phases and position space), and parity selection.
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from matrixwell import (
 )
 
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
-from matrixwell.dynamics import _position_spread
+from matrixwell.dynamics import _position_spread, _schrodinger_columns
 from matrixwell.operators import _position_evolution_checks
 from oracles import (
     dense_check_algebra,
@@ -353,6 +356,56 @@ def test_fractional_revival_at_quarter_period(drawn, steps):
     columns = slice(1, 5)  # <x>, <p>, dx, dp
     gap = np.abs(report.data[-1, columns] - again.data[0, columns]) / scale[columns]
     assert gap.max() <= 1e-10, gap
+
+
+@st.composite
+def coprime_fraction(draw):
+    """p/q in (0, 1) in lowest terms, q <= 12."""
+    q = draw(st.integers(2, 12))
+    return draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1)), q
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3), st.integers(2, 256), coprime_fraction())
+def test_fractional_revival_phases_reduce_mod_q(scales, n, fraction):
+    """At t = (p/q) t_r, omega_1 t = 2 pi p/q, so the engine's phase exp(-i n^2 omega_1 t) is
+    exp(-2 pi i (p n^2 mod q) / q).  The one float omega_1 t carries a few roundings, each
+    scaled by n^2 <= N^2: the two agree within 4 N^2 eps theta radians, theta = 2 pi p/q."""
+    (L, m, hbar), (p, q) = scales, fraction
+    cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
+    k = cfg.mode_numbers()
+    phase, _ = _schrodinger_columns(StateVector.eigenstate(1, n), cfg, np.array([p / q * revival_time(cfg)]))
+    exact = np.exp(-2j * np.pi * ((p * k * k) % q) / q)
+    theta = 2 * np.pi * p / q
+    assert np.abs(np.angle(phase[:, 0] * exact.conj())).max() <= 4 * n * n * np.finfo(float).eps * theta
+
+
+@PROPERTY
+@given(well_and_state(), coprime_fraction(), st.data())
+def test_fractional_revival_is_a_sum_of_shifted_copies(drawn, fraction, data):
+    """psi(x, (p/q) t_r) = sum_j c_j psi~(x + 2 L j / q), psi~ the odd 2L-periodic extension of
+    psi(x, 0), with the Gauss sums c_j = (1/q) sum_s exp(-2 pi i (p s^2 + j s) / q).
+
+    The left side sums the engine's Schrodinger columns over psi_n(x); the right side is
+    evaluated from the coefficients a alone, so the two share no phase code.  Each side
+    is within a few eps of sqrt(2/L) sum |a_n| per radian of its largest phase: n^2 theta
+    on the left, the sine argument n pi y / L, |y| < 3L, on the right.
+    """
+    (cfg, state), (p, q) = drawn, fraction
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, cfg.L, 16)
+    n, a = cfg.mode_numbers(), state.coeffs
+
+    def sine_series(y, coeffs):
+        return np.sqrt(2.0 / cfg.L) * np.sin(np.multiply.outer(y, n) * (np.pi / cfg.L)) @ coeffs
+
+    _, c = _schrodinger_columns(state, cfg, np.array([p / q * revival_time(cfg)]))
+    s = np.arange(q)
+    gauss = [np.exp(-2j * np.pi * ((p * s * s + j * s) % q) / q).sum() / q for j in range(q)]
+    shifted = sum(gauss[j] * sine_series(x + 2.0 * cfg.L * j / q, a) for j in range(q))
+    scale = np.sqrt(2.0 / cfg.L) * np.abs(a).sum()
+    bound = 4 * scale * np.finfo(float).eps * cfg.N * (cfg.N * 2 * np.pi * p / q + 3 * np.pi)
+    assert np.abs(sine_series(x, c[:, 0]) - shifted).max() <= bound
 
 
 @PROPERTY
