@@ -42,9 +42,8 @@ from .fock import (
 )
 from .operators import (
     InteriorBlockSpec,
+    _closed_form_rows,
     _position_evolution_checks,
-    build_momentum,
-    build_position,
     canonical_commutator_report,
 )
 from .reports import atomic_write_text, render_csv, render_json
@@ -237,6 +236,13 @@ def parse_config(argv) -> RunConfig:
             _check_dense(well.N)
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
+    if scenario in ("elements", "commutator"):
+        # the largest p/i entry 4 hbar N(N-1) / (L (2N-1)) is formed from 4 hbar k l <= 4 hbar N(N-1);
+        # every [x, p]_kk / i is at most 2N max |x_kl (p/i)_kl| = 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3),
+        # which is below 4 hbar N(N-1)
+        edge = 4.0 * well.hbar * (well.N * (well.N - 1))
+        finite = math.isfinite(edge) and math.isfinite(edge / (well.L * (2 * well.N - 1)))
+        _require(v, worst, finite, f"makes the largest p/i entry or [x, p] diagonal term overflow at N={well.N}")
 
     # every evolution phase is an integer up to N^2 times (omega_1 t)
     for key in ("t-start", "t-end", "t"):
@@ -355,11 +361,11 @@ def _one_row(row: dict, diagnostics: dict):
 
 def _run_elements(rc: RunConfig):
     n = rc.well.N
-    x = build_position(rc.well).entries
-    p = build_momentum(rc.well).entries
+    _check_dense(n)  # x and p/i together are one dense complex matrix
+    x, p_over_i = _closed_form_rows(rc.well, 0, n)
     k = np.repeat(np.arange(1, n + 1), n)
     l = np.tile(np.arange(1, n + 1), n)
-    columns = [k, l, x.real.ravel(), p.real.ravel(), p.imag.ravel()]
+    columns = [k, l, x.ravel(), np.zeros(n * n), p_over_i.ravel()]  # p is imaginary
     return ["k", "l", "x", "p_re", "p_im"], columns, {"dim": n}
 
 

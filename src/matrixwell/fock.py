@@ -53,6 +53,10 @@ class FockBasis:
             if int(self.cutoff) != self.cutoff or self.cutoff < 1:
                 raise ValueError(f"boson cutoff must be a positive integer, got {self.cutoff}")
         object.__setattr__(self, "cutoff", int(self.cutoff))
+        # every cutoff gives at least 2^modes states, so this many modes are refused before
+        # the exact (cutoff+1)^modes is formed
+        if self.modes >= _MAX_DIMENSION.bit_length():
+            raise ValueError(f"{self.modes} modes exceed the desk-scale cap of {_MAX_DIMENSION} states")
         if self.dimension > _MAX_DIMENSION:
             raise ValueError(
                 f"basis dimension {self.dimension} exceeds the desk-scale cap {_MAX_DIMENSION}"

@@ -94,16 +94,6 @@ def identity(n: int) -> OperatorMatrix:
     return _handover(np.eye(n, dtype=complex))
 
 
-def _pair_terms(cfg: WellConfig, lo: int, hi: int):
-    """For rows k = lo+1 .. hi and every column l: k l (exact float), k^2 - l^2, k + l even."""
-    n = cfg.mode_numbers().astype(np.int64)
-    k = n[lo:hi]
-    kl = np.multiply.outer(k, n).astype(float)  # exact below 2^53
-    d = np.subtract.outer(k * k, n * n)
-    even = np.equal.outer(k % 2, n % 2)  # the diagonal included
-    return kl, d, even
-
-
 def _position_offdiagonal(cfg: WellConfig, kl: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x_kl = -8 L k l / (pi^2 (k^2 - l^2)^2) for k + l odd (well.position_element)."""
     x = kl * (-8.0 * cfg.L)
@@ -111,27 +101,24 @@ def _position_offdiagonal(cfg: WellConfig, kl: np.ndarray, d: np.ndarray) -> np.
     return x
 
 
-def _position_rows(cfg: WellConfig, lo: int, hi: int) -> np.ndarray:
-    """Rows lo .. hi-1 of x as a real array, with exact parity zeros.
+def _closed_form_rows(cfg: WellConfig, lo: int, hi: int):
+    """Rows lo .. hi-1 of x and of p/i as real arrays (well.position_element, momentum_element).
 
-    Integer arithmetic on k l and k^2 - l^2 makes x exactly symmetric.
+    Only the off-diagonal entries with k + l odd, a stride-2 slice of each row,
+    are formed; the others stay exact zeros.  Integer k l and k^2 - l^2 make x
+    exactly symmetric and p/i exactly antisymmetric.
     """
-    kl, d, even = _pair_terms(cfg, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = _position_offdiagonal(cfg, kl, d)
-    np.copyto(x, 0.0, where=even)
+    n = cfg.mode_numbers().astype(np.int64)
+    x, p_over_i = np.zeros((hi - lo, cfg.N)), np.zeros((hi - lo, cfg.N))
+    for first in (lo, lo + 1):  # the rows of one parity, then those of the other
+        rows, cols = slice(first - lo, None, 2), slice((first + 1) % 2, None, 2)
+        k, l = n[first:hi:2], n[cols]
+        kl = np.multiply.outer(k, l).astype(float)  # exact below 2^53
+        d = np.subtract.outer(k * k, l * l)
+        x[rows, cols] = _position_offdiagonal(cfg, kl, d)
+        p_over_i[rows, cols] = kl * (4.0 * cfg.hbar) / (cfg.L * -d)
     x[np.arange(hi - lo), np.arange(lo, hi)] = cfg.L / 2.0
-    return x
-
-
-def _momentum_rows(cfg: WellConfig, lo: int, hi: int) -> np.ndarray:
-    """Rows lo .. hi-1 of p/i as a real array (well.momentum_element), exactly antisymmetric."""
-    kl, d, even = _pair_terms(cfg, lo, hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_over_i = kl * (4.0 * cfg.hbar)
-        p_over_i /= cfg.L * -d
-    np.copyto(p_over_i, 0.0, where=even)
-    return p_over_i
+    return x, p_over_i
 
 
 def build_position(cfg: WellConfig) -> OperatorMatrix:
@@ -145,7 +132,7 @@ def build_position(cfg: WellConfig) -> OperatorMatrix:
     _check_dense(cfg.N)
     x = np.empty((cfg.N, cfg.N), dtype=complex)
     for lo, hi in _row_blocks(cfg.N):
-        x[lo:hi] = _position_rows(cfg, lo, hi)
+        x[lo:hi] = _closed_form_rows(cfg, lo, hi)[0]
     return _handover(x)
 
 
@@ -158,7 +145,7 @@ def build_momentum(cfg: WellConfig) -> OperatorMatrix:
     _check_dense(cfg.N)
     p = np.empty((cfg.N, cfg.N), dtype=complex)
     for lo, hi in _row_blocks(cfg.N):
-        p[lo:hi] = 1j * _momentum_rows(cfg, lo, hi)
+        p[lo:hi] = 1j * _closed_form_rows(cfg, lo, hi)[1]
     return _handover(p)
 
 
@@ -311,26 +298,41 @@ class CommutatorReport:
 def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> CommutatorReport:
     """Measure how well the truncated x and p satisfy [x, p] = i hbar I.
 
-    Works on the real arrays X and P/i in O(N^2 + b^2 N) operations: with X
-    symmetric and P/i antisymmetric, [x, p]_kk = -2i sum_j X_kj (P/i)_kj,
-    and the b x b interior block is X[:b] (P/i)[:, :b] - (P/i)[:b] X[:, :b]
-    times i.  No N x N product is formed.
+    Works on the real X and P/i a block of rows at a time, in O(N^2 + b^2 N)
+    operations and below one dense N x N matrix: with X symmetric and P/i
+    antisymmetric, [x, p]_kk = -2i sum_j X_kj (P/i)_kj, and the b x b
+    interior block is X[:b] (P/i)[:, :b] - (P/i)[:b] X[:, :b] times i.  The
+    trace pairs G_kj = -2 X_kj (P/i)_kj with G_jk, its exact negation, as
+    `_pairwise_trace` does, so it is 0 unless an entry is not finite.
     """
     if 4 * block.max_index > cfg.N:
         raise ValueError(
             f"interior block {block.max_index} too large: need N >= {4 * block.max_index}, got N={cfg.N}"
         )
     _check_dense(cfg.N)
-    x, p_over_i = _position_rows(cfg, 0, cfg.N), _momentum_rows(cfg, 0, cfg.N)
     b = block.max_index
-    trace_terms = -2.0 * np.einsum("kj,kj->k", x, p_over_i)  # [x, p]_kk / i
+    trace_terms, trace = np.empty(cfg.N), 0.0  # [x, p]_kk / i, and the paired trace
+    head_x, head_p = np.empty((b, cfg.N)), np.empty((b, cfg.N))
+    # the first b columns of X and P/i, interleaved, so a column's stride stays above 1 as in
+    # an N x N matrix: numpy sums a 1 x N by N x 1 product in an order that depends on it
+    columns = np.empty((cfg.N, 2, b))
+    for lo, hi in _row_blocks(cfg.N):
+        x, p_over_i = _closed_form_rows(cfg, lo, hi)
+        trace_terms[lo:hi] = -2.0 * np.einsum("kj,kj->k", x, p_over_i)
+        g = x * p_over_i
+        g += g  # -G_kj = G_jk
+        pairs = -g + g  # G_kj + G_jk; those with k < j lie right of the block's diagonal
+        trace += float(np.sum(np.triu(pairs[:, lo:hi], 1)) + np.sum(pairs[:, hi:]))
+        top = max(0, min(hi, b) - lo)  # the rows of this block among the first b
+        head_x[lo : lo + top], head_p[lo : lo + top] = x[:top], p_over_i[:top]
+        columns[lo:hi, 0], columns[lo:hi, 1] = x[:, :b], p_over_i[:, :b]
     diag = trace_terms / cfg.hbar
-    interior = (x[:b] @ p_over_i[:, :b] - p_over_i[:b] @ x[:, :b]) / cfg.hbar - np.eye(b)
+    interior = (head_x @ columns[:, 1] - head_p @ columns[:, 0]) / cfg.hbar - np.eye(b)
     return CommutatorReport(
         dim=cfg.N,
         block=b,
         interior_max_deviation=float(np.abs(interior).max()),
-        trace=complex(0.0, _pairwise_trace(x, p_over_i)),
+        trace=complex(0.0, trace),
         trace_naive=complex(0.0, trace_terms.sum()),
         worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
         edge_diagonal_min=float(diag.min()),

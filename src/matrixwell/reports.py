@@ -2,8 +2,9 @@
 
 A report table arrives as columns: one 1-D sequence per column name, all of
 one length, in row order.  Each column is formatted once per distinct value
-(`np.unique`) and the cells are joined row by row, so a table with parity
-zeros or symmetric entries formats far fewer values than it has cells.
+(`np.unique`), with the separator that follows it, and the cells of the
+whole table are joined once, so a table with parity zeros or symmetric
+entries formats far fewer values than it has cells.
 A column holds floats, integers (int64) or strings; booleans and anything
 else are refused.
 
@@ -43,8 +44,8 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v).__name__} deterministically")
 
 
-def _column_cells(values, digits: int, quote: bool) -> list[str]:
-    """The cells of one column, each distinct value formatted once.
+def _column_cells(values, digits: int, quote: bool, sep: str = "") -> list[str]:
+    """The cells of one column, each followed by `sep`, each distinct value formatted once.
 
     -0.0 and 0.0 are one distinct value; both print as 0.  `quote` writes
     strings as JSON string literals.
@@ -61,28 +62,33 @@ def _column_cells(values, digits: int, quote: bool) -> list[str]:
     if kind == "f":
         if not np.all(np.isfinite(distinct)):
             raise ValueError("reports must not contain NaN or infinities")
+        template = f"%.{digits}g{sep}"  # % formats a float as format(v, ".{digits}g") does
         # + 0.0 turns -0.0 into 0.0, so a negative zero prints as 0
-        text = [format(v, f".{digits}g") for v in (distinct + 0.0).tolist()]
+        text = [template % v for v in (distinct + 0.0).tolist()]
     elif kind == "U":
-        text = [json.dumps(v) for v in distinct.tolist()] if quote else distinct.tolist()
+        text = [(json.dumps(v) if quote else v) + sep for v in distinct.tolist()]
     else:
-        text = [str(v) for v in distinct.tolist()]
+        text = [str(v) + sep for v in distinct.tolist()]
     return np.array(text, dtype=object)[inverse.ravel()].tolist()
 
 
-def _rows(names, columns, digits: int, quote: bool):
-    """Row tuples of formatted cells."""
+def _table(names, columns, digits: int, quote: bool, seps: tuple[str, str]) -> str:
+    """The cells of every row, joined once: seps[0] after each cell, seps[1] after a row's last."""
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
-    cells = [_column_cells(c, digits, quote) for c in columns]
+    width = len(columns)
+    cells = [_column_cells(c, digits, quote, seps[i == width - 1]) for i, c in enumerate(columns)]
     if len({len(c) for c in cells}) > 1:
         raise ValueError(f"report columns differ in length: {[len(c) for c in cells]}")
-    return zip(*cells)
+    table = [""] * (width * len(cells[0]) if cells else 0)
+    for i, c in enumerate(cells):
+        table[i::width] = c
+    return "".join(table)
 
 
 def render_json(config: dict, names, columns, diagnostics: dict) -> str:
-    rows = "], [".join(map(", ".join, _rows(names, columns, 17, True)))
-    rows = f"[{rows}]" if rows else ""
+    rows = _table(names, columns, 17, True, (", ", "], ["))
+    rows = f"[{rows[: -len('], [')]}]" if rows else ""
     return (
         f'{{"config": {_json_value(config)}, "columns": {_json_value(list(names))},'
         f' "rows": [{rows}], "diagnostics": {_json_value(diagnostics)}}}\n'
@@ -90,8 +96,7 @@ def render_json(config: dict, names, columns, diagnostics: dict) -> str:
 
 
 def render_csv(names, columns) -> str:
-    lines = [",".join(names), *map(",".join, _rows(names, columns, 12, False))]
-    return "\n".join(lines) + "\n"
+    return ",".join(names) + "\n" + _table(names, columns, 12, False, (",", "\n"))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -14,8 +14,12 @@ Heisenberg-picture loop (the library's `evolve`, `expectation` and
 against the batched series engine, `dense_force_matrix` forms the force
 as -i (omega_k - omega_l) p_kl against the rank-2 `force_matrix`,
 `dense_check_algebra` forms the ladder relations from dense d x d
-products against the shift-form `check_algebra`, `dense_commutator_report`
+products against the shift-form `check_algebra`, `product_commutator_report`
 forms [x, p] from two N x N products against the O(N^2) report,
+`closed_form_matrices` forms every entry of x and p/i, parity zeros
+included, against the builders, which form only the k + l odd ones, and
+`dense_commutator_report` runs the O(N^2) report on the whole N x N x and
+p/i against the report that works a block of rows at a time,
 `row_render_csv`/`row_render_json` format a report one cell at a time
 against the column renderer of `reports`, and `dense_evolve_report`/
 `dense_revival_report` evolve the whole N x N position matrix at each
@@ -279,7 +283,7 @@ def dense_check_algebra(basis):
     )
 
 
-def dense_commutator_report(cfg, block):
+def product_commutator_report(cfg, block):
     """`canonical_commutator_report` from the full complex product X P - P X."""
     from matrixwell import (
         CommutatorReport,
@@ -301,6 +305,45 @@ def dense_commutator_report(cfg, block):
         interior_max_deviation=float(np.abs(interior).max()),
         trace=commutator_trace(x, p),
         trace_naive=complex(np.trace(c.entries)),
+        worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
+        edge_diagonal_min=float(diag.min()),
+    )
+
+
+def closed_form_matrices(cfg):
+    """x and p/i as real N x N arrays, every entry formed, then the k + l even ones set to 0."""
+    n = cfg.mode_numbers().astype(np.int64)
+    kl = np.multiply.outer(n, n).astype(float)
+    d = np.subtract.outer(n * n, n * n)
+    even = np.equal.outer(n % 2, n % 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = kl * (-8.0 * cfg.L)
+        x /= math.pi**2 * (d * d)
+        p_over_i = kl * (4.0 * cfg.hbar)
+        p_over_i /= cfg.L * -d
+    np.copyto(x, 0.0, where=even)
+    np.copyto(p_over_i, 0.0, where=even)
+    np.fill_diagonal(x, cfg.L / 2.0)
+    return x, p_over_i
+
+
+def dense_commutator_report(cfg, block):
+    """`canonical_commutator_report` on the whole N x N x and p/i, with E - E^T for the trace."""
+    from matrixwell import CommutatorReport
+
+    x, p_over_i = closed_form_matrices(cfg)
+    b = block.max_index
+    trace_terms = -2.0 * np.einsum("kj,kj->k", x, p_over_i)
+    diag = trace_terms / cfg.hbar
+    interior = (x[:b] @ p_over_i[:, :b] - p_over_i[:b] @ x[:, :b]) / cfg.hbar - np.eye(b)
+    e = x * p_over_i.T
+    g = e - e.T
+    return CommutatorReport(
+        dim=cfg.N,
+        block=b,
+        interior_max_deviation=float(np.abs(interior).max()),
+        trace=complex(0.0, np.sum(np.triu(g, 1) + np.tril(g, -1).T)),
+        trace_naive=complex(0.0, trace_terms.sum()),
         worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
         edge_diagonal_min=float(diag.min()),
     )

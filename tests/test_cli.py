@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrixwell import build_momentum, build_position
 from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
 from matrixwell.errors import ConfigError
+from matrixwell.reports import render_csv, render_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -180,6 +182,16 @@ class TestOptionTable:
                 "spread --N 20", "state", "gaussian:center=0.5,width=0.05,center=0.6", id="spread-state-center-twice"
             ),
             pytest.param("spread --N 20", "state", "modes:1,1", id="spread-state-mode-twice"),
+            # Fock bases of at least 2^modes states, refused before (cutoff+1)^modes is formed
+            pytest.param("fock-algebra --N 3000000 --cutoff 1000000", "modes", "3000000", id="fock-algebra-modes-3e6"),
+            pytest.param(
+                "fock-algebra --N 100000 --statistics fermion", "modes", "100000", id="fock-algebra-fermion-modes-1e5"
+            ),
+            # scales at which p/i or the [x, p] diagonal overflows; blamed on the scale farthest from 1
+            pytest.param("elements --N 64", "hbar", "1e307", id="elements-hbar-1e307"),
+            pytest.param("commutator --N 64", "hbar", "1e307", id="commutator-hbar-1e307"),
+            pytest.param("elements --N 64 --hbar 1e160 --m 1e299", "L", "1e-150", id="elements-L-1e-150"),
+            pytest.param("commutator --N 64 --hbar 1e160 --m 1e299", "L", "1e-150", id="commutator-L-1e-150"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -338,6 +350,7 @@ class TestDeterminismAndRoundTrip:
             ["ehrenfest", "--N", "32", "--state", "eigen:2", "--steps", "9"],
             ["fock-density", "--modes", "2", "--cutoff", "2", "--particles", "1", "--positions", "7"],
             ["fock-algebra", "--modes", "3", "--cutoff", "2"],
+            ["commutator", "--N", "37", "--block", "1"],
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -346,6 +359,23 @@ class TestDeterminismAndRoundTrip:
         assert run_cli(args, out=out1, fmt=fmt) == 0
         assert run_cli(args, out=out2, fmt=fmt) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_elements_bytes_match_the_complex_builders(self, tmp_path, fmt):
+        # the report once took x, Re p and Im p from the two complex N x N builders
+        args = ["elements", "--N", "9", "--L", "1.3", "--hbar", "0.7"]
+        out = tmp_path / "elements.dat"
+        assert run_cli(args, out=out, fmt=fmt) == 0
+        rc = parse_config([*args, "--format", fmt])
+        x, p = build_position(rc.well).entries, build_momentum(rc.well).entries
+        k, l = np.indices(x.shape) + 1
+        names = ["k", "l", "x", "p_re", "p_im"]
+        columns = [k.ravel(), l.ravel(), x.real.ravel(), p.real.ravel(), p.imag.ravel()]
+        if fmt == "csv":
+            want = render_csv(names, columns)
+        else:
+            want = render_json(rc.echo, names, columns, {"dim": 9})
+        assert out.read_text(encoding="utf-8") == want
 
     def test_json_round_trip_reproduces_rows(self, tmp_path):
         out = tmp_path / "spread.json"
@@ -494,6 +524,12 @@ class TestFailureModes:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert set(diag) == {"error", "field"}
         assert diag["field"] == "state"
+
+    def test_huge_fock_basis_refused_without_its_dimension(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(["fock-algebra", "--N", "100000", "--modes", "100000", "--statistics", "fermion"])
+        assert err.value.field == "modes"
+        assert "32768" in str(err.value) and len(str(err.value)) < 200
 
     def test_oversized_fock_basis_refused(self, capsys):
         code = run_cli(["fock-algebra", "--modes", "20"])

@@ -25,6 +25,7 @@ from matrixwell import (
     revival_time,
 )
 from matrixwell.well import _MAX_DENSE_BYTES
+from oracles import closed_form_matrices
 
 
 @pytest.fixture
@@ -115,6 +116,26 @@ class TestSizeCap:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 16 * cfg.N**2
+
+    def test_commutator_report_peak_below_one_matrix(self):
+        cfg = WellConfig(N=1024)  # 16 row blocks; the interior block spans four of them
+        tracemalloc.start()
+        try:
+            canonical_commutator_report(cfg, InteriorBlockSpec(cfg.N // 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * cfg.N**2
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 257, 700])
+    def test_bit_equal_to_every_entry_formed(self, n):
+        # the builders form only the k + l odd entries; 257 and 700 take several row blocks
+        cfg = WellConfig(L=1.3, hbar=0.7, N=n)
+        x, p_over_i = closed_form_matrices(cfg)
+        bits = [build_position(cfg).entries, build_momentum(cfg).entries, x.astype(complex), 1j * p_over_i]
+        got_x, got_p, want_x, want_p = (a.view(np.uint64) for a in bits)
+        np.testing.assert_array_equal(got_x, want_x)
+        np.testing.assert_array_equal(got_p, want_p)
 
     def test_row_blocks_match_closed_forms(self):
         cfg = WellConfig(L=1.3, hbar=0.7, N=700)  # 8 row blocks, the last one short
@@ -251,6 +272,12 @@ class TestCanonicalCommutatorReport:
         assert rep.trace == 0.0  # pairwise-cancelled evaluation is exact
         assert abs(rep.trace_naive) < 1e-10  # naive summation only reaches roundoff
         assert rep.edge_diagonal_min < -1.0  # the truncation artifact is visible
+
+    def test_trace_shows_an_entry_that_overflows(self):
+        cfg = WellConfig(hbar=1e306, N=64)  # 4 hbar k l overflows; the CLI refuses this scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = canonical_commutator_report(cfg, InteriorBlockSpec(4))
+        assert rep.trace.real == 0.0 and math.isnan(rep.trace.imag)
 
     def test_convergence_factor(self):
         devs = []

@@ -1,6 +1,7 @@
 """Property tests on random states: the series engine (N <= 64), the
 shift-form Fock layer (bases of at most 125 states), the O(N^2)
-commutator report (N <= 200), the phase-exponent groups of the
+commutator report (N <= 200 against the full products, N <= 300 bit for
+bit against the whole-matrix report), the phase-exponent groups of the
 `evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 256
 bit for bit against both phases of each group), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
@@ -12,6 +13,8 @@ tests the same states.
 """
 
 import math
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from matrixwell import (
     sine_coefficients,
 )
 
+from matrixwell import operators
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
 from matrixwell.dynamics import _position_spread, _schrodinger_columns
 from matrixwell.operators import _position_evolution_checks
@@ -50,6 +54,7 @@ from oracles import (
     dense_revival_report,
     direct_sine_coefficients,
     heisenberg_series,
+    product_commutator_report,
     two_phase_evolution_checks,
 )
 
@@ -189,7 +194,7 @@ def test_commutator_report_matches_dense_products(L, hbar, n, data):
     cfg = WellConfig(L=L, hbar=hbar, N=n)
     block = InteriorBlockSpec(data.draw(st.integers(1, n // 4)))
     got = canonical_commutator_report(cfg, block)
-    want = dense_commutator_report(cfg, block)
+    want = product_commutator_report(cfg, block)
     x, p = np.abs(build_position(cfg).entries), np.abs(build_momentum(cfg).entries)
     bound = (n * np.finfo(float).eps / hbar) * (x @ p + p @ x)
     b = block.max_index
@@ -200,6 +205,28 @@ def test_commutator_report_matches_dense_products(L, hbar, n, data):
     assert abs(got.worst_diagonal_deviation - want.worst_diagonal_deviation) <= diag_bound
     assert abs(got.edge_diagonal_min - want.edge_diagonal_min) <= diag_bound
     assert abs(got.trace_naive) <= hbar * float(np.trace(bound))
+
+
+def _bits(report):
+    """Every field of a CommutatorReport, floats as their uint64 bit patterns."""
+    out = []
+    for value in astuple(report):
+        parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
+        out += [np.float64(v).view(np.uint64) if isinstance(v, float) else v for v in parts]
+    return out
+
+
+@PROPERTY
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(4, 300), st.data())
+def test_commutator_report_is_bit_equal_to_the_dense_report(log_l, log_hbar, n, data):
+    """Every field, uint64 for uint64, whatever the rows a block holds and the block b spans."""
+    cfg = WellConfig(L=10.0**log_l, hbar=10.0**log_hbar, N=n)
+    block = InteriorBlockSpec(data.draw(st.integers(1, n // 4), label="block"))
+    rows = data.draw(st.integers(1, n), label="rows per block")
+    with mock.patch.object(operators, "_ROW_BLOCK_ELEMENTS", rows * n):
+        got = canonical_commutator_report(cfg, block)
+    assert _bits(got) == _bits(dense_commutator_report(cfg, block))
+    assert got.trace == 0.0
 
 
 @st.composite
