@@ -258,6 +258,15 @@ def parse_config(argv) -> RunConfig:
         _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
         grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
     if scenario in ("spread", "ehrenfest"):
+        try:  # <p^2> reaches (hbar pi N / L)^2, and <F> s N^3 with s formed as _wall_force does
+            s = well.hbar**2 * math.pi**2 / (well.m * well.L**3)
+            peaks = ((well.hbar * math.pi * well.N / well.L) ** 2, s * well.N**3)
+        except (OverflowError, ZeroDivisionError):
+            peaks = (0.0,)
+        rule = f"puts <p^2> or the wall force out of floating-point range at N={well.N}"
+        _require(v, worst, all(0 < x < math.inf for x in peaks), rule)
+        latest = max(("t-start", "t-end"), key=lambda key: abs(v[key]))
+        _require(v, latest, math.isfinite(well.hbar * abs(v[latest]) / (2.0 * well.m)), "makes hbar |t| / 2m overflow")
         # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
         # from a column bounded by B: |<x>| <= L, |<p>| <= hbar pi N / L
         bound = 4.0 * max(0.5, well.L, well.hbar * math.pi * well.N / well.L)
@@ -420,14 +429,9 @@ def _fock_basis_and_state(rc: RunConfig):
     basis = _fock_basis(rc.options)
     particles = rc.options["particles"]
     if basis.statistics is Statistics.BOSON:
-        state = condensate_state(basis, particles)
-    else:
-        occ = np.zeros(basis.modes, dtype=np.int64)
-        occ[:particles] = 1  # fill the lowest modes
-        coeffs = np.zeros(basis.dimension, dtype=complex)
-        coeffs[basis.index_of(occ)] = 1.0
-        state = FockState(basis, coeffs)
-    return basis, state
+        return basis, condensate_state(basis, particles)
+    sea = [1] * particles + [0] * (basis.modes - particles)  # fill the lowest modes
+    return basis, FockState.occupied(basis, sea)
 
 
 def _run_fock_density(rc: RunConfig):

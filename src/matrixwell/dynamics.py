@@ -55,11 +55,7 @@ class StateVector:
 
     @classmethod
     def eigenstate(cls, n: int, dim: int) -> "StateVector":
-        if not (1 <= n <= dim):
-            raise ValueError(f"eigenstate index must be in 1..{dim}, got {n}")
-        a = np.zeros(dim, dtype=complex)
-        a[n - 1] = 1.0
-        return cls(a)
+        return cls.uniform_superposition([n], dim)
 
     @classmethod
     def uniform_superposition(cls, modes, dim: int) -> "StateVector":
@@ -102,7 +98,7 @@ class RunReport:
     residual_x = |d<x>/dt - <p>/m|, residual_p = |d<p>/dt + <dV/dx>|.
 
     Construction checks the row invariants: dispersions are nonnegative,
-    dx * dp >= hbar/2 - 1e-9, and dx * dx0 >= robertson_bound - 1e-9.
+    dx * dp >= (hbar/2)(1 - 2e-9), and dx * dx0 >= robertson_bound - 1e-9.
     """
 
     COLUMNS = (
@@ -128,7 +124,7 @@ class RunReport:
         bound = data[:, 6]
         if np.any(dx < 0) or np.any(dp < 0):
             raise InvariantViolation("negative dispersion in report rows")
-        bad = np.nonzero(dx * dp < hbar / 2.0 - 1e-9)[0]
+        bad = np.nonzero(dx * dp < hbar / 2.0 * (1.0 - 2e-9))[0]
         if bad.size:
             i = int(bad[0])
             raise InvariantViolation(
@@ -180,7 +176,8 @@ def project_wavefunction(cfg: WellConfig, f) -> StateVector:
             f"first {cfg.N} modes capture {captured:.6f} < {_MIN_CAPTURE} of the norm;"
             " increase N or widen the packet"
         )
-    return StateVector(raw)
+    # raw scales as sqrt(L); a power of two lifts it to unit norm and changes no normalised bit
+    return StateVector(raw * 2.0 ** max(0, -math.frexp(math.sqrt(norm2))[1]))
 
 
 def gaussian_packet(cfg: WellConfig, center: float, width: float, mean_momentum: float = 0.0) -> StateVector:

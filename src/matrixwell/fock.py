@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import StateVector
 from .well import WellConfig, eigenfunction, sine_coefficients
 
 _MAX_DIMENSION = 32768
@@ -95,21 +96,21 @@ class FockState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.coeffs, dtype=complex).ravel()
+        a = StateVector(self.coeffs).coeffs
         if a.size != self.basis.dimension:
             raise ValueError(f"state must have {self.basis.dimension} coefficients")
-        norm = float(np.linalg.norm(a))
-        if not np.isfinite(norm) or norm < 1e-12:
-            raise ValueError("state has (near-)zero or non-finite norm")
-        a = a / norm
-        a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
 
     @classmethod
-    def vacuum(cls, basis: FockBasis) -> "FockState":
+    def occupied(cls, basis: FockBasis, occupation) -> "FockState":
+        """The basis state with the given occupation vector (n_1 .. n_M)."""
         a = np.zeros(basis.dimension, dtype=complex)
-        a[0] = 1.0
+        a[basis.index_of(occupation)] = 1.0
         return cls(basis, a)
+
+    @classmethod
+    def vacuum(cls, basis: FockBasis) -> "FockState":
+        return cls.occupied(basis, [0] * basis.modes)
 
 
 def _ladder(basis: FockBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,11 +240,7 @@ def condensate_state(basis: FockBasis, n_particles: int) -> FockState:
         raise ValueError(f"particle number must be a nonnegative integer, got {n_particles}")
     if n_particles > basis.cutoff:
         raise ValueError(f"particle number {n_particles} exceeds the cutoff {basis.cutoff}")
-    occ = np.zeros(basis.modes, dtype=np.int64)
-    occ[0] = n_particles
-    a = np.zeros(basis.dimension, dtype=complex)
-    a[basis.index_of(occ)] = 1.0
-    return FockState(basis, a)
+    return FockState.occupied(basis, [n_particles] + [0] * (basis.modes - 1))
 
 
 def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, t: float = 0.0):

@@ -20,19 +20,20 @@ from .well import WellConfig, _check_dense, eigen_energy
 # temporaries stay a small fraction of the matrix they fill.
 _ROW_BLOCK_ELEMENTS = 2**16
 
+# The forward-difference steps of hamilton_derivative, strictly decreasing.
+_DERIVATIVE_STEPS = (0.5, 0.25, 0.125, 0.0625)
+
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     """A dense complex N x N operator in the energy eigenbasis.
 
-    `time` is None for operators built at t = 0 ("static"); `evolve`
-    stamps the evolution time.  Entries are immutable after construction:
-    a read-only complex C-contiguous array that owns its memory is taken
-    as is, anything else is copied.
+    Entries are immutable after construction: a read-only complex
+    C-contiguous array that owns its memory is taken as is, anything else
+    is copied.
     """
 
     entries: np.ndarray
-    time: float | None = None
 
     def __post_init__(self):
         a = self.entries
@@ -57,7 +58,7 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.time)
+        return OperatorMatrix(self.entries.conj().T)
 
     def hermiticity_defect(self) -> float:
         """max |A - A^dagger| / max(|A|, tiny), a relative conj-transpose check."""
@@ -69,14 +70,13 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _check_same_dim(self, other)
-        t = self.time if self.time == other.time else None
-        return _handover(self.entries @ other.entries, t)
+        return _handover(self.entries @ other.entries)
 
 
-def _handover(a: np.ndarray, time: float | None = None) -> OperatorMatrix:
+def _handover(a: np.ndarray) -> OperatorMatrix:
     """Wrap a freshly computed complex array without copying it."""
     a.setflags(write=False)
-    return OperatorMatrix(a, time)
+    return OperatorMatrix(a)
 
 
 def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
@@ -162,11 +162,9 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
 
     The frequency difference is formed as the exact integer (k^2 - l^2)
     times the single float omega_1 * t, so revival-time phases land on
-    integer multiples of 2 pi to machine precision.  Evolving an
-    already-evolved operator accumulates its time stamp, which makes
-    evolve a one-parameter group.  The phases are applied in place to a
-    copy of the entries, a block of rows at a time.  Raises ValueError
-    before allocating above the 256 MiB cap.
+    integer multiples of 2 pi to machine precision.  The phases are
+    applied in place to a copy of the entries, a block of rows at a time.
+    Raises ValueError before allocating above the 256 MiB cap.
     """
     _check_dense(cfg.N)
     if op.dim != cfg.N:
@@ -176,8 +174,7 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
     out = op.entries.copy()
     for lo, hi in _row_blocks(cfg.N):
         out[lo:hi] *= np.exp(1j * (np.subtract.outer(n2[lo:hi], n2) * wt))
-    prior = 0.0 if op.time is None else op.time
-    return _handover(out, prior + t)
+    return _handover(out)
 
 
 def _position_phase_groups(cfg: WellConfig):
@@ -232,8 +229,7 @@ def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[a, b] = ab - ba."""
     _check_same_dim(a, b)
-    t = a.time if a.time == b.time else None
-    return _handover(a.entries @ b.entries - b.entries @ a.entries, t)
+    return _handover(a.entries @ b.entries - b.entries @ a.entries)
 
 
 def _pairwise_trace(a: np.ndarray, b: np.ndarray):
@@ -339,26 +335,23 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
     )
 
 
-def hamilton_derivative(h_of, at: OperatorMatrix, epsilon_sequence=(0.5, 0.25, 0.125, 0.0625)) -> OperatorMatrix:
+def hamilton_derivative(h_of, at: OperatorMatrix) -> OperatorMatrix:
     """Operator derivative along the identity, lim_{eps->0} [H(A + eps I) - H(A)] / eps.
 
     `h_of` maps an OperatorMatrix to an OperatorMatrix.  Forward
-    differences over the strictly decreasing `epsilon_sequence` are
-    Richardson-extrapolated to eps = 0 (Neville's scheme, so the steps
-    need not halve).  The default steps are deliberately coarse:
+    differences at the steps `_DERIVATIVE_STEPS` are Richardson-extrapolated
+    to eps = 0 (Neville's scheme).  The steps are deliberately coarse:
     extrapolation removes the truncation error for smooth dependence,
-    while tiny steps only amplify the roundoff of the difference
-    quotient.  Raises NonConvergentDerivative when successive
-    extrapolants move apart instead of settling.
+    while tiny steps only amplify the roundoff of the difference quotient.
+    Raises NonConvergentDerivative when successive extrapolants move apart
+    instead of settling.
     """
-    eps = [float(e) for e in epsilon_sequence]
-    if len(eps) < 2 or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon_sequence must be strictly decreasing and positive")
+    eps = _DERIVATIVE_STEPS
     one = identity(at.dim).entries
     h0 = h_of(at).entries
     table = []
     for e in eps:
-        shifted = OperatorMatrix(at.entries + e * one, at.time)
+        shifted = OperatorMatrix(at.entries + e * one)
         table.append((h_of(shifted).entries - h0) / e)
 
     # Neville extrapolation in eps toward 0; diag[i] is the best estimate
@@ -374,8 +367,8 @@ def hamilton_derivative(h_of, at: OperatorMatrix, epsilon_sequence=(0.5, 0.25, 0
         best.append(rows[-1])
 
     gaps = [float(np.abs(b2 - b1).max()) for b1, b2 in zip(best, best[1:])]
-    if len(gaps) >= 2 and gaps[-1] > gaps[0] and gaps[-1] > gaps[-2]:
+    if gaps[-1] > gaps[0] and gaps[-1] > gaps[-2]:
         raise NonConvergentDerivative(
             f"operator derivative diverged: successive estimate gaps {gaps}"
         )
-    return OperatorMatrix(best[-1], at.time)
+    return OperatorMatrix(best[-1])

@@ -72,7 +72,7 @@ SIGNATURES = {
     "FockBasis": ["modes", "statistics", "cutoff"],
     "FockState": ["basis", "coeffs"],
     "InteriorBlockSpec": ["max_index"],
-    "OperatorMatrix": ["entries", "time"],
+    "OperatorMatrix": ["entries"],
     "RunReport": ["data", "hbar", "meta"],
     "ShortTimeResiduals": ["dt", "r1", "r2", "max_index"],
     "StateVector": ["coeffs"],
@@ -96,7 +96,7 @@ SIGNATURES = {
     "expectation": ["state", "op"],
     "force_matrix": ["cfg", "t"],
     "gaussian_packet": ["cfg", "center", "width", "mean_momentum"],
-    "hamilton_derivative": ["h_of", "at", "epsilon_sequence"],
+    "hamilton_derivative": ["h_of", "at"],
     "identity": ["n"],
     "mode_frequency": ["cfg", "n"],
     "momentum_element": ["cfg", "k", "l"],

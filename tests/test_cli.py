@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matrixwell import build_momentum, build_position
@@ -192,6 +192,15 @@ class TestOptionTable:
             pytest.param("commutator --N 64", "hbar", "1e307", id="commutator-hbar-1e307"),
             pytest.param("elements --N 64 --hbar 1e160 --m 1e299", "L", "1e-150", id="elements-L-1e-150"),
             pytest.param("commutator --N 64 --hbar 1e160 --m 1e299", "L", "1e-150", id="commutator-L-1e-150"),
+            # scales at which the wall force or <p^2> leaves the float range, and a time at which
+            # hbar |t| / 2m does; the scales are blamed on the one farthest from 1
+            pytest.param(
+                "spread --N 64 --m 1e100 --t-end 1 --steps 3 --state eigen:1", "L", "1e-160", id="spread-L-1e-160"
+            ),
+            pytest.param(
+                "spread --N 20 --hbar 1e10 --L 1e3 --steps 3 --state eigen:1", "t-end", "1e300", id="spread-t-end-1e300"
+            ),
+            pytest.param("spread --N 20 --m 1e190 --state eigen:1 --steps 5", "hbar", "1e200", id="spread-hbar-1e200"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -328,6 +337,16 @@ class TestScenarioOutputs:
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 12
 
+    def test_fock_density_of_the_fermi_sea(self, tmp_path):
+        # the lowest `particles` modes filled once each: the density is the sum of their |psi_n|^2
+        out = tmp_path / "sea.json"
+        args = ["fock-density", "--statistics", "fermion", "--modes", "4", "--particles", "3", "--t", "0.3"]
+        assert run_cli(args + ["--positions", "9"], out=out, fmt="json") == 0
+        doc = json.loads(out.read_text())
+        xs, density = np.array(doc["rows"]).T
+        expect = 2.0 * sum(np.sin(n * np.pi * xs) ** 2 for n in (1, 2, 3))
+        np.testing.assert_allclose(density, expect, atol=1e-12)
+
     def test_ehrenfest_runs_with_mode_state(self, tmp_path):
         out = tmp_path / "ehr.csv"
         code = run_cli(
@@ -351,6 +370,7 @@ class TestDeterminismAndRoundTrip:
             ["fock-density", "--modes", "2", "--cutoff", "2", "--particles", "1", "--positions", "7"],
             ["fock-algebra", "--modes", "3", "--cutoff", "2"],
             ["commutator", "--N", "37", "--block", "1"],
+            ["fock-density", "--modes", "4", "--statistics", "fermion", "--particles", "2", "--positions", "9"],
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -613,6 +633,10 @@ def cli_runs(draw):
 @given(cli_runs())
 def test_fuzzed_options_exit_cleanly(argv):
     """Every run exits 0, or 1 or 2 with a one-line JSON diagnostic naming a field or a kind."""
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -622,3 +646,82 @@ def test_fuzzed_options_exit_cleanly(argv):
     assert code in (1, 2), code
     diag = json.loads(err.getvalue().strip().splitlines()[-1])
     assert set(diag) == {"error", "field" if code == 2 else "kind"}, diag
+
+
+def _magnitude(lo, hi):
+    """10**e for e uniform in [lo, hi]: log-uniform magnitudes."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+SI_ELECTRON = (1e-9, 9.1093837015e-31, 1.054571817e-34)  # L, m, hbar
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=st.sampled_from(["spread", "ehrenfest"]),
+    n=st.integers(16, 40),
+    packet=st.tuples(st.floats(0.25, 0.75), st.floats(0.03, 0.1), st.floats(-20.0, 20.0)),
+    times=st.tuples(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0)),
+    steps=st.integers(3, 9),
+    # within 1e+-40, s N^3, (hbar pi N / L)^2 and every phase stay far inside the float range
+    scales=st.tuples(_magnitude(-40, 40), _magnitude(-40, 40), _magnitude(-40, 40)),
+)
+# the uncertainty guard once tolerated an absolute 1e-9: off below hbar ~ 2e-9, and tripped
+# by rounding alone at large hbar
+@example("spread", 12, (0.3, 0.04, 0.0), (0.0, 1.0), 9, SI_ELECTRON)
+@example("ehrenfest", 40, (0.4, 0.04, 0.0), (0.0, 1e-6 * math.pi / 16.0), 3, (2.0, 1e6, 1e6))
+# a projection's raw coefficients scale as sqrt(L), and were once refused as of near-zero norm
+@example("spread", 16, (0.5, 0.04, 0.0), (0.0, 1.0), 3, (1e-25, 1.0, 1.0))
+def test_exit_code_is_scale_covariant(scenario, n, packet, times, steps, scales):
+    """A run given in units of L, hbar / L and the revival time exits as it does at L = m = hbar = 1.
+
+    `packet` is the center, width and momentum of a gaussian state; `times` the grid
+    start and its length.
+    """
+
+    def exit_code(length, mass, hbar):
+        t_r = 4.0 * mass * length**2 / (hbar * math.pi)
+        center, width, momentum = packet
+        state = f"gaussian:center={center * length!r},width={width * length!r},momentum={momentum * hbar / length!r}"
+        start, end = times[0] * t_r, (times[0] + times[1]) * t_r
+        argv = [scenario, "--N", str(n), "--steps", str(steps), "--state", state, "--t-start", repr(start),
+                "--t-end", repr(end), "--L", repr(length), "--m", repr(mass), "--hbar", repr(hbar)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    assert exit_code(*scales) == exit_code(1.0, 1.0, 1.0)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda pair: pair[0] * pair[1])
+
+
+@st.composite
+def scaled_series_runs(draw):
+    """spread or ehrenfest with L, m, hbar and signed grid ends log-uniform over 1e-300 .. 1e300."""
+    wide = _magnitude(-300, 300)
+    length, mass, hbar = draw(wide), draw(wide), draw(wide)
+    n = draw(st.integers(2, 40))
+    start, end = sorted([draw(_signed(wide)), draw(_signed(wide))])
+    mode = st.integers(1, n)
+    state = draw(
+        st.one_of(
+            mode.map(lambda k: f"eigen:{k}"),
+            st.lists(mode, min_size=1, max_size=3, unique=True).map(lambda ks: "modes:" + ",".join(map(str, ks))),
+            st.tuples(st.floats(0.1, 0.9), st.floats(0.01, 0.2), st.floats(-30.0, 30.0)).map(
+                lambda p: f"gaussian:center={p[0] * length!r},width={p[1] * length!r},momentum={p[2] * hbar / length!r}"
+            ),
+        )
+    )
+    return [
+        draw(st.sampled_from(["spread", "ehrenfest"])), "--N", str(n), "--steps", str(draw(st.integers(3, 9))),
+        "--L", repr(length), "--m", repr(mass), "--hbar", repr(hbar),
+        "--t-start", repr(start), "--t-end", repr(end), "--state", state,
+    ]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(scaled_series_runs())
+def test_fuzzed_scales_exit_cleanly(argv):
+    """spread and ehrenfest at any float scale exit 0, or 1 or 2 with a one-line JSON diagnostic."""
+    _assert_exits_cleanly(argv)

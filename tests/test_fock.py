@@ -8,6 +8,7 @@ from scipy import integrate
 from matrixwell import (
     FockBasis,
     FockState,
+    StateVector,
     Statistics,
     WellConfig,
     check_algebra,
@@ -215,6 +216,32 @@ class TestManyBodyHamiltonian:
         # a_n^dagger a_n is diagonal, so H is diag(occupation energies) exactly off the diagonal
         h = ladder_hamiltonian(cfg, bosons)
         assert np.all(h[~np.eye(bosons.dimension, dtype=bool)] == 0.0)
+
+
+class TestOccupied:
+    def test_one_hot_at_index_of(self, bosons, fermions):
+        for basis, occ in [(bosons, [2, 0, 4]), (bosons, [0, 0, 0]), (fermions, [1, 0, 1])]:
+            np.testing.assert_array_equal(FockState.occupied(basis, occ).coeffs, basis_vector(basis, occ))
+
+    def test_vacuum_and_condensate_are_occupied_states(self, bosons, fermions):
+        for basis in (bosons, fermions):
+            vacuum = FockState.occupied(basis, [0] * basis.modes).coeffs
+            np.testing.assert_array_equal(FockState.vacuum(basis).coeffs, vacuum)
+        for n in range(bosons.cutoff + 1):
+            condensate = condensate_state(bosons, n).coeffs
+            np.testing.assert_array_equal(condensate, FockState.occupied(bosons, [n, 0, 0]).coeffs)
+
+    def test_bad_occupation_refused(self, bosons, fermions):
+        for basis, occ in [(bosons, [5, 0, 0]), (bosons, [-1, 0, 0]), (bosons, [0, 0]), (fermions, [0, 2, 0])]:
+            with pytest.raises(ValueError):
+                FockState.occupied(basis, occ)
+
+    def test_coefficients_bit_equal_to_state_vector(self, bosons):
+        rng = np.random.default_rng(5)
+        raw = 1e-3 * (rng.normal(size=bosons.dimension) + 1j * rng.normal(size=bosons.dimension))
+        got, want = FockState(bosons, raw).coeffs, StateVector(raw).coeffs
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not got.flags.writeable
 
 
 class TestCondensate:

@@ -187,7 +187,6 @@ class TestEvolve:
         nz = x.entries != 0
         rel = np.abs(twice.entries[nz] - once.entries[nz]) / np.abs(once.entries[nz])
         assert rel.max() < 1e-12
-        assert twice.time == pytest.approx(t1 + t2)
 
     def test_inverse(self, cfg):
         p = build_momentum(cfg)
@@ -356,10 +355,4 @@ class TestHamiltonDerivative:
             return OperatorMatrix(np.eye(cfg.N, dtype=complex) / math.sqrt(gap))
 
         with pytest.raises(NonConvergentDerivative):
-            hamilton_derivative(pathological, p, epsilon_sequence=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
-
-    def test_bad_epsilon_sequence_rejected(self, cfg):
-        p = build_momentum(cfg)
-        for seq in [(1e-2,), (1e-2, 1e-2), (1e-3, 1e-2), (1e-2, -1e-3)]:
-            with pytest.raises(ValueError):
-                hamilton_derivative(lambda op: op, p, epsilon_sequence=seq)
+            hamilton_derivative(pathological, p)
