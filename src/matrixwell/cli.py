@@ -3,15 +3,14 @@
     matrixwell <scenario> [--config FILE] [flags...]
 
 Scenarios: elements, commutator, evolve, spread, ehrenfest, revival,
-fock-density, fock-algebra.  Flags override config-file values; the
-config file is flat `key = value` text whose keys match the flag names.
+fock-density, fock-algebra.  Flags, `--key value` or `--key=value`, override
+config-file values; the config file is flat `key = value` text with the same keys.
 Every option is declared once, in OPTIONS.  Identical configurations
 produce byte-identical output files.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import logging
 import math
@@ -151,7 +150,7 @@ def _read_config_file(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}", field="config") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -167,20 +166,35 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="matrixwell",
-        description="Infinite-square-well matrix mechanics scenarios with CSV/JSON reports.",
-    )
-    ap.add_argument("scenario", choices=SCENARIOS)
-    ap.add_argument("--config", help="flat key = value config file; flags override it")
-    for opt in OPTIONS:
-        default = "" if opt.default is None else f"; default {opt.default}"
-        where = "all scenarios" if opt.scenarios == SCENARIOS else ", ".join(opt.scenarios)
-        metavar = "{" + ",".join(opt.kind) + "}" if isinstance(opt.kind, tuple) else None
-        text = f"{opt.help}{default} [{where}]"
-        ap.add_argument(f"--{opt.key}", dest=opt.key, metavar=metavar, help=text)
-    return ap
+def _read_argv(argv) -> tuple:
+    """The scenario and the {key: text} of the flags, `--key value` or `--key=value`.
+
+    Flags take the config-file keys, unabbreviated.  A word that starts with --
+    is always a flag, so -4.5e-05 is a value; the one other word is the scenario.
+    """
+    words, scenarios, flags = iter(argv), [], {}
+    for word in words:
+        if word in ("-h", "--help"):
+            print(f"usage: matrixwell {{{','.join(SCENARIOS)}}} [--config FILE] [--key value ...]\n\noptions:\n"
+                  "  --config FILE  flat key = value config file; flags override it")
+            for opt in OPTIONS:
+                default = "" if opt.default is None else f"; default {opt.default}"
+                where = "all scenarios" if opt.scenarios == SCENARIOS else ", ".join(opt.scenarios)
+                value = "{" + ",".join(opt.kind) + "}" if isinstance(opt.kind, tuple) else "VALUE"
+                print(f"  --{opt.key} {value}  {opt.help}{default} [{where}]")
+            raise SystemExit(0)  # the one exit outside the JSON error contract
+        if not word.startswith("--"):
+            scenarios.append(word)
+            continue
+        key, eq, raw = word[2:].partition("=")
+        if key not in _OPTIONS and key != "config":
+            raise ConfigError(f"unknown flag {word!r}", field=key)
+        flags[key] = raw if eq else next(words, "--")
+        if flags[key].startswith("--") and not eq:
+            raise ConfigError(f"flag --{key} needs a value", field=key)
+    if len(scenarios) != 1 or scenarios[0] not in SCENARIOS:
+        raise ConfigError(f"expected one scenario of {SCENARIOS}, got {scenarios}", field="scenario")
+    return scenarios[0], flags
 
 
 def _require(v: dict, key: str, ok, rule: str) -> None:
@@ -188,28 +202,16 @@ def _require(v: dict, key: str, ok, rule: str) -> None:
         raise ConfigError(f"{key} {rule}, got {v[key]!r}", field=key)
 
 
-def _join_values(argv: list) -> list:
-    """`--key value` as `--key=value` for the keys of OPTIONS, unless the value starts with --.
-
-    argparse reads a value such as -4.5e-05 or -inf as a flag; joined, it
-    stays the option's value and reaches the option's checks.
-    """
-    out = []
-    for arg in argv:
-        if out and out[-1].startswith("--") and out[-1][2:] in _OPTIONS and not arg.startswith("--"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+def _require_range(v: dict, key: str, magnitudes: dict, low: float) -> None:
+    """The one range rule: refuse, naming `key`, any magnitude outside (low, inf)."""
+    bad = [name for name, x in magnitudes.items() if not low < x < math.inf]
+    _require(v, key, not bad, f"puts {' and '.join(bad)} out of floating-point range at N={v['N']}")
 
 
 def parse_config(argv) -> RunConfig:
     """Merge flags over config-file values, apply the table's defaults, validate."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ns = _build_parser().parse_args(_join_values(argv))
-    scenario = ns.scenario
-    given = _read_config_file(ns.config) if ns.config else {}
-    given.update((key, raw) for key, raw in vars(ns).items() if key in _OPTIONS and raw is not None)
+    scenario, flags = _read_argv(sys.argv[1:] if argv is None else argv)
+    given = {**(_read_config_file(flags.pop("config")) if "config" in flags else {}), **flags}
     given = {key: _convert(_OPTIONS[key], raw) for key, raw in given.items()}
     v = {}
     for opt in OPTIONS:
@@ -223,32 +225,35 @@ def parse_config(argv) -> RunConfig:
         _require(v, key, 0 < v[key] < math.inf, "must be positive and finite")
     _require(v, "N", v["N"] >= 2, "must be at least 2")
     well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"])
-    try:
-        timescales = (revival_time(well), well.base_frequency)
-    except (OverflowError, ZeroDivisionError):  # L**2 out of range
-        timescales = (math.inf,)
+    with np.errstate(all="ignore"):  # a magnitude out of range reads as 0 or inf
+        w = WellConfig(*(np.float64(v[key]) for key in scales), N=well.N)
+        n, omega = np.float64(str(well.N)), w.base_frequency  # n is inf above the float range
+        sizes = {"the revival time": revival_time(w), "omega_1": omega}
+        if scenario in ("elements", "commutator"):
+            # p/i_kl = k l (4 hbar) / (L (k^2 - l^2)) for k + l odd is largest at k = N, l = N-1, formed from
+            # 4 hbar N(N-1), which bounds every [x, p]_kk / i <= 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3).  At
+            # k = 1, l = N it is the smallest entry for even N, and below the smallest for odd N
+            sizes["the largest p/i entry"] = n * (n - 1) * (4.0 * w.hbar) / (w.L * (2 * n - 1))
+            sizes["the smallest p/i entry"] = n * (4.0 * w.hbar) / (w.L * (n * n - 1))
+        # every evolution phase is an integer up to N^2 times (omega_1 t)
+        phases = {key: {"the phase N^2 omega_1 t": n**2 * (omega * v[key])} for key in ("t-start", "t-end", "t")
+                  if v.get(key) is not None}
+        if scenario in ("spread", "ehrenfest"):
+            # <p^2> reaches (hbar pi N / L)^2, and <F> s N^3 with s formed as _wall_force does
+            sizes["<p^2>"] = (w.hbar * math.pi * n / w.L) ** 2
+            sizes["the wall force"] = w.hbar**2 * math.pi**2 / (w.m * w.L**3) * n**3
+            for key, late in phases.items():
+                late["hbar |t| / 2m"] = w.hbar * abs(v[key]) / (2.0 * w.m)
     # blame the scale farthest from 1; L enters both squared
     worst = max(scales, key=lambda k: abs(math.log(v[k])) * (2 if k == "L" else 1))
-    rule = "puts the revival time or omega_1 out of floating-point range"
-    _require(v, worst, all(0 < x < math.inf for x in timescales), rule)
+    _require_range(v, worst, sizes, 0.0)
     if scenario not in FOCK:
         try:
             _check_dense(well.N)
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
-    if scenario in ("elements", "commutator"):
-        # the largest p/i entry 4 hbar N(N-1) / (L (2N-1)) is formed from 4 hbar k l <= 4 hbar N(N-1);
-        # every [x, p]_kk / i is at most 2N max |x_kl (p/i)_kl| = 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3),
-        # which is below 4 hbar N(N-1)
-        edge = 4.0 * well.hbar * (well.N * (well.N - 1))
-        finite = math.isfinite(edge) and math.isfinite(edge / (well.L * (2 * well.N - 1)))
-        _require(v, worst, finite, f"makes the largest p/i entry or [x, p] diagonal term overflow at N={well.N}")
-
-    # every evolution phase is an integer up to N^2 times (omega_1 t)
-    for key in ("t-start", "t-end", "t"):
-        if v.get(key) is not None:
-            finite = np.isfinite(well.N**2 * (well.base_frequency * v[key]))
-            _require(v, key, finite, f"makes the phase N^2 omega_1 t overflow at N={well.N}")
+    for key, late in phases.items():
+        _require_range(v, key, late, -math.inf)
     grid = None
     if scenario in GRID:
         if v["t-end"] is None:
@@ -258,15 +263,6 @@ def parse_config(argv) -> RunConfig:
         _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
         grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
     if scenario in ("spread", "ehrenfest"):
-        try:  # <p^2> reaches (hbar pi N / L)^2, and <F> s N^3 with s formed as _wall_force does
-            s = well.hbar**2 * math.pi**2 / (well.m * well.L**3)
-            peaks = ((well.hbar * math.pi * well.N / well.L) ** 2, s * well.N**3)
-        except (OverflowError, ZeroDivisionError):
-            peaks = (0.0,)
-        rule = f"puts <p^2> or the wall force out of floating-point range at N={well.N}"
-        _require(v, worst, all(0 < x < math.inf for x in peaks), rule)
-        latest = max(("t-start", "t-end"), key=lambda key: abs(v[key]))
-        _require(v, latest, math.isfinite(well.hbar * abs(v[latest]) / (2.0 * well.m)), "makes hbar |t| / 2m overflow")
         # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
         # from a column bounded by B: |<x>| <= L, |<p>| <= hbar pi N / L
         bound = 4.0 * max(0.5, well.L, well.hbar * math.pi * well.N / well.L)
@@ -364,8 +360,11 @@ def _build_state(rc: RunConfig) -> StateVector:
 
 
 def _one_row(row: dict, diagnostics: dict):
-    """A runner's result for a one-row table: one column per key of `row`, in order."""
-    return list(row), [[v] for v in row.values()], diagnostics
+    """A one-row runner result: a column per key of `row`, in order; a complex value as key_re and key_im."""
+    cells = {}
+    for key, x in row.items():
+        cells.update({f"{key}_re": x.real, f"{key}_im": x.imag} if isinstance(x, complex) else {key: x})
+    return list(cells), [[x] for x in cells.values()], diagnostics
 
 
 def _run_elements(rc: RunConfig):
@@ -379,19 +378,9 @@ def _run_elements(rc: RunConfig):
 
 
 def _run_commutator(rc: RunConfig):
-    rep = canonical_commutator_report(rc.well, InteriorBlockSpec(rc.options["block"]))
-    row = {
-        "n": rep.dim,
-        "block": rep.block,
-        "interior_max_deviation": rep.interior_max_deviation,
-        "trace_re": rep.trace.real,
-        "trace_im": rep.trace.imag,
-        "trace_naive_re": rep.trace_naive.real,
-        "trace_naive_im": rep.trace_naive.imag,
-        "worst_diagonal_deviation": rep.worst_diagonal_deviation,
-        "edge_diagonal_min": rep.edge_diagonal_min,
-    }
-    return _one_row(row, {"note": "full trace vanishes for every finite N; edge diagonal absorbs it"})
+    rep = asdict(canonical_commutator_report(rc.well, InteriorBlockSpec(rc.options["block"])))
+    note = "full trace vanishes for every finite N; edge diagonal absorbs it"
+    return _one_row({"n": rep.pop("dim"), **rep}, {"note": note})
 
 
 def _run_evolve(rc: RunConfig):

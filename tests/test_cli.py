@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from matrixwell import build_momentum, build_position
 from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
 from matrixwell.errors import ConfigError
+from matrixwell.operators import _closed_form_rows
 from matrixwell.reports import render_csv, render_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -153,7 +154,7 @@ class TestOptionTable:
             ("elements", "hbar", "inf"),
             ("evolve", "hbar", "1e308"),
             ("evolve", "hbar", "1e-320"),
-            # negative values in exponent form, which argparse alone reads as flags
+            # negative values in exponent form: only a word that starts with -- is a flag
             ("elements", "L", "-2e0"),
             ("evolve", "t-start", "-inf"),
             # a non-finite grid start, checked before the order of the grid ends
@@ -192,6 +193,9 @@ class TestOptionTable:
             pytest.param("commutator --N 64", "hbar", "1e307", id="commutator-hbar-1e307"),
             pytest.param("elements --N 64 --hbar 1e160 --m 1e299", "L", "1e-150", id="elements-L-1e-150"),
             pytest.param("commutator --N 64 --hbar 1e160 --m 1e299", "L", "1e-150", id="commutator-L-1e-150"),
+            # scales at which a p/i entry underflows to 0, and [x, p] with it
+            pytest.param("elements --N 2 --L 1e30 --m 1e-200", "hbar", "1e-300", id="elements-hbar-1e-300"),
+            pytest.param("commutator --N 8 --block 1 --L 1e30 --m 1e-200", "hbar", "1e-300", id="commutator-hbar-1e-300"),
             # scales at which the wall force or <p^2> leaves the float range, and a time at which
             # hbar |t| / 2m does; the scales are blamed on the one farthest from 1
             pytest.param(
@@ -218,12 +222,40 @@ class TestOptionTable:
         assert set(diag) == {"error", "field"}
         assert diag["field"] == key
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["elements", "--foo", "1"], "foo"),
+            (["elements", "--N"], "N"),
+            (["elements", "--N", "--L", "2"], "N"),
+            (["elements", "--form", "json"], "form"),  # no abbreviations: a config file has none either
+            (["elements", "extra"], "scenario"),
+            (["--N", "8"], "scenario"),
+            ([], "scenario"),
+            (["elements", "--config", "latin1.cfg"], "config"),  # a config file that is not UTF-8
+        ],
+    )
+    def test_bad_argv_names_its_field(self, argv, field, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.cfg"
+        cfgfile.write_bytes("# café\nN = 4\n".encode("latin-1"))
+        argv = [str(cfgfile) if word == cfgfile.name else word for word in argv]
+        assert main(argv) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == field
+
+    def test_both_flag_forms_agree(self):
+        assert parse_config(["--N=8", "elements", "--t=-inf", "--L=-0.0e0", "--L=2"]) == parse_config(
+            ["--N", "8", "elements", "--L", "2"]
+        )
+
     def test_negative_exponent_value_is_a_value(self):
         rc = parse_config(["evolve", "--N", "4", "--t-start", "-4.5e-05", "--steps", "3"])
         assert rc.grid.t_start == -4.5e-05
         assert run(rc) == 0
-        with pytest.raises(SystemExit):  # a flag is never taken as the value before it
+        with pytest.raises(ConfigError) as err:  # a flag is never taken as the value before it
             parse_config(["elements", "--out", "--format", "json"])
+        assert err.value.field == "out"
 
     @pytest.mark.parametrize("scenario", ["elements", "commutator", "revival", "fock-density", "fock-algebra"])
     def test_scenarios_without_a_grid_ignore_grid_options(self, scenario):
@@ -446,10 +478,11 @@ class TestFailureModes:
         assert not out.exists()
         assert not out.with_name(out.name + ".tmp").exists()
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["warp-drive"])
-        assert exc.value.code == 2
+    def test_unknown_scenario_rejected(self, capsys):
+        assert main(["warp-drive"]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == "scenario"
 
     def test_bad_state_spec_names_field(self, capsys):
         code = run_cli(["spread", "--N", "20", "--state", "plane-wave:7"])
@@ -648,6 +681,41 @@ def _assert_exits_cleanly(argv):
     assert set(diag) == {"error", "field" if code == 2 else "kind"}, diag
 
 
+# Words for the argv property below: every flag key, prefixes of keys, unknown keys and
+# junk; `out` and `config` are left out, so that no file is read or written.
+ARGV_KEYS = [opt.key for opt in OPTIONS if opt.key != "out"]
+ARGV_VALUES = ("-4.5e-05", "-inf", "inf", "nan", "-1", "0", "2", "3", "8", "1e308", "5e-324", "json", "fermion",
+               "eigen:1", "modes:1,2", "-", "")
+
+
+@st.composite
+def argv_words(draw):
+    """A raw argv: scenario names, junk, `--key`, `--key value`, `--key=value`, in any order."""
+    key = st.one_of(st.sampled_from(ARGV_KEYS), st.sampled_from(["fo", "form", "ste", "s", "foo", "", "-N"]))
+    value = st.one_of(st.sampled_from(ARGV_VALUES), st.text(max_size=4).filter(lambda w: w != "-h"))
+    word = st.one_of(
+        st.sampled_from([*SCENARIOS, "warp-drive", "-x", "-4.5e-05"]),
+        st.tuples(key, value).map(lambda kv: [f"--{kv[0]}", kv[1]]),
+        st.tuples(key, value).map(lambda kv: f"--{kv[0]}={kv[1]}"),
+        key.map(lambda k: f"--{k}"),  # a flag left without a value, unless a value follows
+        value,
+    )
+    words = draw(st.lists(word, max_size=8))
+    # half the runs end with --N 8, which overrides a drawn N and keeps an accepted run small
+    argv = [w for item in words for w in (item if isinstance(item, list) else [item])]
+    return argv + ["--N", "8"] if draw(st.booleans()) else argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv_words())
+@example(["elements", "--form", "json"])
+@example(["elements", "--N"])
+@example(["--N", "8", "warp-drive"])
+def test_any_argv_exits_cleanly(argv):
+    """No argv but --help makes main raise: every run exits 0, or 1 or 2 with a JSON diagnostic."""
+    _assert_exits_cleanly(argv)
+
+
 def _magnitude(lo, hi):
     """10**e for e uniform in [lo, hi]: log-uniform magnitudes."""
     return st.floats(lo, hi).map(lambda e: 10.0**e)
@@ -725,3 +793,23 @@ def scaled_series_runs(draw):
 def test_fuzzed_scales_exit_cleanly(argv):
     """spread and ehrenfest at any float scale exit 0, or 1 or 2 with a one-line JSON diagnostic."""
     _assert_exits_cleanly(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3, 8, 64]), scales=st.tuples(*[_magnitude(-330, 308)] * 3))
+# p/i underflows to 0 here, while the revival time and omega_1 stay in range
+@example(2, (1e30, 1e-200, 1e-300))
+def test_accepted_scales_form_every_entry(n, scales):
+    """Wherever elements is accepted, every k + l odd entry of x and p/i is finite and nonzero."""
+    argv = ["elements", "--N", str(n)]
+    for key, value in zip(("L", "m", "hbar"), scales):
+        argv += [f"--{key}", repr(value)]
+    try:
+        rc = parse_config(argv)
+    except ConfigError:
+        return
+    x, p_over_i = _closed_form_rows(rc.well, 0, n)
+    k, l = np.indices(x.shape) + 1
+    odd = (k + l) % 2 == 1
+    for entries in (x[odd], p_over_i[odd]):
+        assert np.all(np.isfinite(entries) & (entries != 0)), argv
