@@ -223,71 +223,30 @@ def parse_config(argv) -> RunConfig:
     scales = ("L", "m", "hbar")
     for key in scales:
         _require(v, key, 0 < v[key] < math.inf, "must be positive and finite")
+    # sizes first, in exact integers: every magnitude below is formed from checked sizes
     _require(v, "N", v["N"] >= 2, "must be at least 2")
-    well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"])
-    with np.errstate(all="ignore"):  # a magnitude out of range reads as 0 or inf
-        w = WellConfig(*(np.float64(v[key]) for key in scales), N=well.N)
-        n, omega = np.float64(str(well.N)), w.base_frequency  # n is inf above the float range
-        sizes = {"the revival time": revival_time(w), "omega_1": omega}
-        if scenario in ("elements", "commutator"):
-            # p/i_kl = k l (4 hbar) / (L (k^2 - l^2)) for k + l odd is largest at k = N, l = N-1, formed from
-            # 4 hbar N(N-1), which bounds every [x, p]_kk / i <= 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3).  At
-            # k = 1, l = N it is the smallest entry for even N, and below the smallest for odd N
-            sizes["the largest p/i entry"] = n * (n - 1) * (4.0 * w.hbar) / (w.L * (2 * n - 1))
-            sizes["the smallest p/i entry"] = n * (4.0 * w.hbar) / (w.L * (n * n - 1))
-        # every evolution phase is an integer up to N^2 times (omega_1 t)
-        phases = {key: {"the phase N^2 omega_1 t": n**2 * (omega * v[key])} for key in ("t-start", "t-end", "t")
-                  if v.get(key) is not None}
-        if scenario in ("spread", "ehrenfest"):
-            # <p^2> reaches (hbar pi N / L)^2, and <F> s N^3 with s formed as _wall_force does
-            sizes["<p^2>"] = (w.hbar * math.pi * n / w.L) ** 2
-            sizes["the wall force"] = w.hbar**2 * math.pi**2 / (w.m * w.L**3) * n**3
-            for key, late in phases.items():
-                late["hbar |t| / 2m"] = w.hbar * abs(v[key]) / (2.0 * w.m)
-    # blame the scale farthest from 1; L enters both squared
-    worst = max(scales, key=lambda k: abs(math.log(v[k])) * (2 if k == "L" else 1))
-    _require_range(v, worst, sizes, 0.0)
     if scenario not in FOCK:
         try:
-            _check_dense(well.N)
+            _check_dense(v["N"])
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
-    for key, late in phases.items():
-        _require_range(v, key, late, -math.inf)
-    grid = None
-    if scenario in GRID:
-        if v["t-end"] is None:
-            v["t-end"] = revival_time(well)
-        _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")
-        min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
-        _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
-        grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
-    if scenario in ("spread", "ehrenfest"):
-        # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
-        # from a column bounded by B: |<x>| <= L, |<p>| <= hbar pi N / L
-        bound = 4.0 * max(0.5, well.L, well.hbar * math.pi * well.N / well.L)
-        fine = grid.spacing == 0.0 or not math.isfinite(bound / grid.spacing)
-        _require(v, "t-end", not fine, f"leaves a spacing {grid.spacing:.3g} too fine for d/dt")
-    if scenario in _TABLE_ROWS:
-        key, width = _TABLE_ROWS[scenario]
-        size = 8 * width * v[key]
-        cap = _MAX_DENSE_BYTES // 2**20
-        rule = f"asks for a {size / 2**20:.1f} MiB report table, above the {cap} MiB cap"
-        _require(v, key, size <= _MAX_DENSE_BYTES, rule)
-
-    if scenario in ("spread", "ehrenfest"):
-        _require(v, "state", v["state"], f"is required by {scenario}")
-    if scenario == "revival" and v["state"] is None:
-        v["state"] = f"gaussian:center={well.L / 2.0!r},width={well.L / 20.0!r}"
     if scenario == "commutator":
         _require(v, "N", v["N"] >= 4, "must be at least 4 for commutator, whose interior block needs N/4 >= 1")
         if v["block"] is None:
-            v["block"] = max(1, min(10, well.N // 4))
-        _require(v, "block", 1 <= v["block"] <= well.N / 4, f"must be in 1..N/4 = {well.N / 4:g}")
+            v["block"] = max(1, min(10, v["N"] // 4))
+        _require(v, "block", 1 <= v["block"] and 4 * v["block"] <= v["N"], f"must be in 1..N/4 = {v['N'] / 4:g}")
+    if scenario in GRID:
+        min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
+        _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
+    if scenario in _TABLE_ROWS:
+        key, width = _TABLE_ROWS[scenario]
+        size = 8 * width * v[key]
+        rule = f"asks for a {-(-size >> 20)} MiB report table, above the {_MAX_DENSE_BYTES >> 20} MiB cap"
+        _require(v, key, size <= _MAX_DENSE_BYTES, rule)
     if scenario in FOCK:
         if v["statistics"] == "fermion":
             v["cutoff"] = 1
-        _require(v, "modes", 1 <= v["modes"] <= well.N, f"must be in 1..N = {well.N}")
+        _require(v, "modes", 1 <= v["modes"] <= v["N"], f"must be in 1..N = {v['N']}")
         _require(v, "cutoff", v["cutoff"] >= 1, "must be at least 1")
         try:
             _fock_basis(v)
@@ -296,9 +255,50 @@ def parse_config(argv) -> RunConfig:
     if scenario == "fock-density":
         # a boson condensate fills one mode up to the cutoff; fermions take one mode each
         most = v["cutoff"] if v["statistics"] == "boson" else v["modes"]
-        rule = f"must be in 0..{most} for {v['statistics']}s"
-        _require(v, "particles", 0 <= v["particles"] <= most, rule)
+        _require(v, "particles", 0 <= v["particles"] <= most, f"must be in 0..{most} for {v['statistics']}s")
         _require(v, "positions", v["positions"] >= 2, "must be at least 2")
+    well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"])
+    # exact, as N <= 4096 past the dense cap; a Fock run evolves only its M <= 15 modes
+    n, dim = (float(v["modes"]), "M") if scenario in FOCK else (float(well.N), "N")
+    with np.errstate(all="ignore"):  # a magnitude out of range reads as 0 or inf
+        w = WellConfig(*(np.float64(v[key]) for key in scales), N=well.N)
+        omega = w.base_frequency
+        sizes = {"the revival time": revival_time(w), "omega_1": omega}
+        if scenario in ("elements", "commutator"):
+            # p/i_kl = k l (4 hbar) / (L (k^2 - l^2)) for k + l odd is largest at k = N, l = N-1, formed from
+            # 4 hbar N(N-1), which bounds every [x, p]_kk / i <= 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3).  At
+            # k = 1, l = N it is the smallest entry for even N, and below the smallest for odd N
+            sizes["the largest p/i entry"] = n * (n - 1) * (4.0 * w.hbar) / (w.L * (2 * n - 1))
+            sizes["the smallest p/i entry"] = n * (4.0 * w.hbar) / (w.L * (n * n - 1))
+        if scenario in ("spread", "ehrenfest"):
+            # <p^2> reaches (hbar pi N / L)^2, and <F> s N^3 with s formed as _wall_force does
+            sizes["<p^2>"] = (w.hbar * math.pi * n / w.L) ** 2
+            sizes["the wall force"] = w.hbar**2 * math.pi**2 / (w.m * w.L**3) * n**3
+        # blame the scale farthest from 1; L enters both squared
+        worst = max(scales, key=lambda k: abs(math.log(v[k])) * (2 if k == "L" else 1))
+        _require_range(v, worst, sizes, 0.0)
+        if scenario in GRID and v["t-end"] is None:
+            v["t-end"] = revival_time(well)
+        # every evolution phase is an integer up to n^2 times (omega_1 t)
+        times = {key: {f"the phase {dim}^2 omega_1 t": n**2 * (omega * v[key])} for key in ("t-start", "t-end", "t")
+                 if v.get(key) is not None}
+        if scenario in ("spread", "ehrenfest"):
+            for key, late in times.items():
+                late["hbar |t| / 2m"] = w.hbar * abs(v[key]) / (2.0 * w.m)
+            # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
+            # from a column bounded by B: |<x>| <= L, |<p>| <= hbar pi N / L
+            h = (np.float64(v["t-end"]) - v["t-start"]) / (v["steps"] - 1)
+            times["t-end"]["the d/dt stencil's 4 B / h"] = 4.0 * max(0.5, w.L, w.hbar * math.pi * n / w.L) / h
+        for key, late in times.items():
+            _require_range(v, key, late, -math.inf)
+    grid = None
+    if scenario in GRID:
+        _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")
+        grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
+    if scenario in ("spread", "ehrenfest"):
+        _require(v, "state", v["state"], f"is required by {scenario}")
+    if scenario == "revival" and v["state"] is None:
+        v["state"] = f"gaussian:center={well.L / 2.0!r},width={well.L / 20.0!r}"
 
     # the output path is left out so that it cannot change the report's bytes
     echo = {"scenario": scenario}
@@ -369,7 +369,6 @@ def _one_row(row: dict, diagnostics: dict):
 
 def _run_elements(rc: RunConfig):
     n = rc.well.N
-    _check_dense(n)  # x and p/i together are one dense complex matrix
     x, p_over_i = _closed_form_rows(rc.well, 0, n)
     k = np.repeat(np.arange(1, n + 1), n)
     l = np.tile(np.arange(1, n + 1), n)

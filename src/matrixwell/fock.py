@@ -59,9 +59,7 @@ class FockBasis:
         if self.modes >= _MAX_DIMENSION.bit_length():
             raise ValueError(f"{self.modes} modes exceed the desk-scale cap of {_MAX_DIMENSION} states")
         if self.dimension > _MAX_DIMENSION:
-            raise ValueError(
-                f"basis dimension {self.dimension} exceeds the desk-scale cap {_MAX_DIMENSION}"
-            )
+            raise ValueError(f"{self.cutoff + 1}^{self.modes} basis states exceed the desk-scale cap {_MAX_DIMENSION}")
 
     @property
     def dimension(self) -> int:

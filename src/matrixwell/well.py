@@ -66,12 +66,12 @@ class WellConfig:
 
 
 def _check_dense(n: int) -> None:
-    """Refuse a dense complex n x n matrix above _MAX_DENSE_BYTES (ValueError)."""
+    """Refuse a dense complex n x n matrix above _MAX_DENSE_BYTES (ValueError), whatever the int n."""
     size = 16 * n * n
     if size > _MAX_DENSE_BYTES:
         raise ValueError(
-            f"a dense {n} x {n} complex matrix needs {size / 2**20:.1f} MiB, above the"
-            f" {_MAX_DENSE_BYTES // 2**20} MiB cap; lower N"
+            f"a dense {n} x {n} complex matrix needs {-(-size >> 20)} MiB, above the"
+            f" {_MAX_DENSE_BYTES >> 20} MiB cap; lower N"
         )
 
 

@@ -205,6 +205,14 @@ class TestOptionTable:
                 "spread --N 20 --hbar 1e10 --L 1e3 --steps 3 --state eigen:1", "t-end", "1e300", id="spread-t-end-1e300"
             ),
             pytest.param("spread --N 20 --m 1e190 --state eigen:1 --steps 5", "hbar", "1e200", id="spread-hbar-1e200"),
+            # sizes beyond the float range, checked in integers before any magnitude is formed; each
+            # once ended in an OverflowError, or named a scale that is 1
+            pytest.param("evolve", "steps", "1" + "0" * 400, id="evolve-steps-1e400"),
+            pytest.param("spread --state eigen:1", "steps", "1" + "0" * 400, id="spread-steps-1e400"),
+            pytest.param("fock-density", "positions", "1" + "0" * 400, id="fock-density-positions-1e400"),
+            pytest.param("evolve", "N", "1" + "0" * 157, id="evolve-N-1e157"),
+            pytest.param("revival", "N", "1" + "0" * 157, id="revival-N-1e157"),
+            pytest.param("elements", "N", "1" + "0" * 157, id="elements-N-1e157"),
         ],
     )
     @pytest.mark.parametrize("form", ["flag", "config"])
@@ -511,6 +519,9 @@ class TestFailureModes:
         assert peak < 4 * 2**20
         assert parse_config(["elements", "--N", "4096"]).well.N == 4096
         assert parse_config(["fock-algebra", "--N", "5000"]).well.N == 5000
+        # a Fock run forms its phases from its M modes, never from N: N^2 omega_1 t would leave the float range
+        assert parse_config(["fock-density", "--N", "1" + "0" * 200]).options["t"] == 0.0
+        assert parse_config(["fock-density", "--N", "4096", "--t", "1e302"]).options["t"] == 1e302
 
     @pytest.mark.parametrize(
         "scenario, key, most",
@@ -813,3 +824,29 @@ def test_accepted_scales_form_every_entry(n, scales):
     odd = (k + l) % 2 == 1
     for entries in (x[odd], p_over_i[odd]):
         assert np.all(np.isfinite(entries) & (entries != 0)), argv
+
+
+INT_KEYS = [opt.key for opt in OPTIONS if opt.kind is int]
+HUGE = st.integers(0, 420).flatmap(lambda e: st.integers(0, 10**e))  # log-uniform up to 10**420
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    sizes=st.fixed_dictionaries(dict.fromkeys(INT_KEYS, HUGE)),
+    scales=st.tuples(*[_magnitude(-330, 308)] * 3),
+)
+@example("evolve", dict.fromkeys(INT_KEYS, 10**157), (1.0, 1.0, 1.0))
+def test_any_size_is_checked_at_parse_time(scenario, sizes, scales):
+    """parse_config accepts or refuses every size, in a few MiB; nothing is run."""
+    argv = [scenario, "--state", "eigen:1"]
+    for key, value in [*sizes.items(), *zip(("L", "m", "hbar"), scales)]:
+        argv += [f"--{key}", str(value)]
+    tracemalloc.start()
+    try:
+        with contextlib.suppress(ConfigError):
+            parse_config(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

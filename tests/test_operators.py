@@ -89,15 +89,16 @@ class TestSizeCap:
         ],
     )
     def test_refused_before_allocating(self, build):
-        cfg = WellConfig(N=4097)  # one complex 4097 x 4097 matrix: 256.1 MiB
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="MiB cap"):
-                build(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # one complex 4097 x 4097 matrix: 256.1 MiB; 10**157 once overflowed the message's float division
+        for n in (4097, 10**157):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="MiB cap"):
+                    build(WellConfig(N=n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     @pytest.mark.parametrize("name", ["build_position", "build_momentum", "build_hamiltonian", "evolve"])
     def test_peak_below_one_and_a_half_matrices(self, name):
