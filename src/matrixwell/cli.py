@@ -32,11 +32,11 @@ from .dynamics import (
 )
 from .errors import ConfigError, MatrixwellError
 from .fock import (
+    _MAX_DIMENSION,
     FockBasis,
     FockState,
     Statistics,
     check_algebra,
-    condensate_state,
     density_expectation,
 )
 from .operators import (
@@ -251,7 +251,9 @@ def parse_config(argv) -> RunConfig:
         try:
             _fock_basis(v)
         except ValueError as e:  # modes and cutoff are in range, so only the size cap is left
-            raise ConfigError(str(e), field="modes") from None
+            # every cutoff gives at least 2^modes states: blame modes only if it alone breaks the cap
+            field = "modes" if v["modes"] >= _MAX_DIMENSION.bit_length() else "cutoff"
+            raise ConfigError(str(e), field=field) from None
     if scenario == "fock-density":
         # a boson condensate fills one mode up to the cutoff; fermions take one mode each
         most = v["cutoff"] if v["statistics"] == "boson" else v["modes"]
@@ -415,11 +417,12 @@ def _fock_basis(options: dict) -> FockBasis:
 
 def _fock_basis_and_state(rc: RunConfig):
     basis = _fock_basis(rc.options)
-    particles = rc.options["particles"]
+    n = rc.options["particles"]
     if basis.statistics is Statistics.BOSON:
-        return basis, condensate_state(basis, particles)
-    sea = [1] * particles + [0] * (basis.modes - particles)  # fill the lowest modes
-    return basis, FockState.occupied(basis, sea)
+        occupation = [n] + [0] * (basis.modes - 1)  # a condensate in the lowest mode
+    else:
+        occupation = [1] * n + [0] * (basis.modes - n)  # a sea filling the lowest modes
+    return basis, FockState.occupied(basis, occupation)
 
 
 def _run_fock_density(rc: RunConfig):

@@ -292,7 +292,7 @@ def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> 
     return _std_from_moments(second, mean, "dx(t)")
 
 
-def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: dict) -> RunReport:
+def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario: str) -> RunReport:
     """Schrodinger-picture columns C = a exp(-i n^2 omega_1 t), _SERIES_BLOCK samples at a time.
 
     <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C for x
@@ -339,16 +339,14 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, meta: di
     cols[:, 8] = np.abs(dxdt - cols[:, 2] / cfg.m)
     cols[:, 9] = np.abs(dpdt + f_means)
 
-    meta = dict(meta)
-    meta.update(
-        {
-            "dim": cfg.N,
-            "grid_spacing": h,
-            "revival_time": revival_time(cfg),
-            "max_residual_x": float(cols[:, 8].max()),
-            "max_residual_p": float(cols[:, 9].max()),
-        }
-    )
+    meta = {
+        "scenario": scenario,
+        "dim": cfg.N,
+        "grid_spacing": h,
+        "revival_time": revival_time(cfg),
+        "max_residual_x": float(cols[:, 8].max()),
+        "max_residual_p": float(cols[:, 9].max()),
+    }
     return RunReport(cols, hbar=cfg.hbar, meta=meta)
 
 
@@ -359,7 +357,7 @@ def ehrenfest_report(state: StateVector, cfg: WellConfig, grid: TimeGrid) -> Run
     with the time derivatives estimated by second-order finite differences
     on the grid itself, so both residuals scale as O(h^2).
     """
-    return _series_report(state, cfg, grid, {"scenario": "ehrenfest"})
+    return _series_report(state, cfg, grid, "ehrenfest")
 
 
 def spread_report(state: StateVector, cfg: WellConfig, grid: TimeGrid) -> RunReport:
@@ -368,7 +366,7 @@ def spread_report(state: StateVector, cfg: WellConfig, grid: TimeGrid) -> RunRep
     Row construction verifies Delta x(t) * Delta x(0) >= |<[x(t), x(0)]>|/2 - 1e-9
     at every sampled time.
     """
-    return _series_report(state, cfg, grid, {"scenario": "spread"})
+    return _series_report(state, cfg, grid, "spread")
 
 
 @dataclass(frozen=True)

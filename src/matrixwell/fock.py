@@ -5,7 +5,7 @@ the (anti)commutation check of the ladder operators, condensate states,
 and density expectations in the Heisenberg picture.
 
 Every ladder operator a_n is a partial permutation of the basis, kept in
-shift form by `_ladder`: one target row and one amplitude per column.
+shift form by `_ladders`: one target row and one amplitude per column.
 `check_algebra` composes these arrays, and `density_expectation` forms
 the one-body density matrix rho_nm = <a_n^dagger a_m> from them, so
 neither builds a d x d matrix.
@@ -36,7 +36,8 @@ class FockBasis:
     Bosons allow occupations 0..cutoff per mode; fermions 0/1 (cutoff is
     forced to 1).  States are enumerated lexicographically in the
     occupations with mode 1 varying slowest, so the basis index of an
-    occupation vector (n_1 .. n_M) is sum_i n_i (cutoff+1)^(M-i).
+    occupation vector (n_1 .. n_M) is sum_i n_i (cutoff+1)^(M-i): its dot
+    product with `_strides`.
     """
 
     modes: int
@@ -65,15 +66,14 @@ class FockBasis:
     def dimension(self) -> int:
         return (self.cutoff + 1) ** self.modes
 
+    @property
+    def _strides(self) -> np.ndarray:
+        """(cutoff+1)^(M-i) for modes i = 1..M, the basis-index step of one quantum in mode i."""
+        return (self.cutoff + 1) ** np.arange(self.modes - 1, -1, -1, dtype=np.int64)
+
     def occupations(self) -> np.ndarray:
         """All occupation vectors as an integer (dimension x modes) array, in basis order."""
-        base = self.cutoff + 1
-        idx = np.arange(self.dimension)
-        occ = np.empty((self.dimension, self.modes), dtype=np.int64)
-        for i in range(self.modes - 1, -1, -1):
-            occ[:, i] = idx % base
-            idx = idx // base
-        return occ
+        return np.arange(self.dimension)[:, None] // self._strides % (self.cutoff + 1)
 
     def index_of(self, occupation) -> int:
         occ = np.asarray(occupation, dtype=np.int64)
@@ -81,9 +81,7 @@ class FockBasis:
             raise ValueError(f"occupation vector must have length {self.modes}")
         if np.any(occ < 0) or np.any(occ > self.cutoff):
             raise ValueError(f"occupations must lie in 0..{self.cutoff}")
-        base = self.cutoff + 1
-        weights = base ** np.arange(self.modes - 1, -1, -1, dtype=np.int64)
-        return int(occ @ weights)
+        return int(occ @ self._strides)
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,8 @@ class FockState:
         return cls.occupied(basis, [0] * basis.modes)
 
 
-def _ladder(basis: FockBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift form of a_n: column s holds amps[s] at row target[s], and nothing else.
+def _ladders(basis: FockBasis) -> list:
+    """Shift forms of a_1 .. a_M: column s of a_n holds amps[s] at row target[s], and nothing else.
 
     Removing one quantum from mode n moves state s to s - stride_n.  Bosons:
     amplitude sqrt(occ_n).  Fermions: (-1)^(occ_1 + ... + occ_{n-1}), the
@@ -120,17 +118,18 @@ def _ladder(basis: FockBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
     with occ_n = 0 wraps to the state with occ_n = cutoff, a row a_n never
     reaches, with amplitude 0; so `target` is a permutation of the basis.
     """
-    occ = basis.occupations()
     base = basis.cutoff + 1
-    stride = base ** (basis.modes - n)
-    empty = occ[:, n - 1] == 0
-    target = np.arange(basis.dimension) - stride + base * stride * empty
+    strides = basis._strides[:, None]
+    # the occupation table mode-major, one contiguous row per mode: the composed gathers read whole rows
+    occ = np.ascontiguousarray(basis.occupations().T)
+    empty = occ == 0
+    targets = np.arange(basis.dimension) - strides + base * strides * empty
     if basis.statistics is Statistics.BOSON:
-        amps = np.sqrt(occ[:, n - 1].astype(float))
+        amps = np.sqrt(occ.astype(float))
     else:
-        parity = occ[:, : n - 1].sum(axis=1) % 2
+        parity = (np.cumsum(occ, axis=0) - occ) % 2  # occ_1 + ... + occ_{n-1}
         amps = np.where(empty, 0.0, np.where(parity == 0, 1.0, -1.0))
-    return target, amps
+    return list(zip(targets, amps))
 
 
 def _compose(a, b):
@@ -190,11 +189,10 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
 
     Works on the shift forms in O(M^2 d) operations; no d x d matrix is built.
     """
-    ann = [_ladder(basis, n) for n in range(1, basis.modes + 1)]
+    ann = _ladders(basis)
     cre = [_adjoint(a) for a in ann]
     sign = -1.0 if basis.statistics is Statistics.BOSON else 1.0  # commutator vs anticommutator
 
-    occ = basis.occupations()
     same = 0.0
     boundary = 0.0
     cross = 0.0
@@ -211,7 +209,7 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
             if basis.statistics is Statistics.FERMION:
                 same = max(same, float(np.abs(rel).max()))
                 continue
-            sat = occ[:, i] == basis.cutoff
+            sat = cre[i][1] == 0.0  # a_n^dagger annihilates exactly the states with occ_n = cutoff
             saturated_total += int(sat.sum())
             on_diag = rows == np.arange(basis.dimension)
             same = max(same, float(np.abs(np.where(on_diag, 0.0, rel)).max()))
@@ -258,9 +256,8 @@ def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, 
     if basis.modes > cfg.N:
         raise ValueError(f"basis uses {basis.modes} modes but cfg retains only N={cfg.N}")
     v = np.empty((basis.dimension, basis.modes), dtype=complex)
-    for n in range(1, basis.modes + 1):
-        target, amps = _ladder(basis, n)
-        v[target, n - 1] = amps * state.coeffs
+    for m, (target, amps) in enumerate(_ladders(basis)):
+        v[target, m] = amps * state.coeffs
     rho = v.conj().T @ v
     n2 = np.arange(1, basis.modes + 1, dtype=np.int64) ** 2
     phase = np.exp(-1j * (n2 * (cfg.base_frequency * t)))

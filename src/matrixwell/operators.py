@@ -57,9 +57,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T)
-
     def hermiticity_defect(self) -> float:
         """max |A - A^dagger| / max(|A|, tiny), a relative conj-transpose check."""
         scale = max(float(np.abs(self.entries).max()), 1e-300)
@@ -232,25 +229,19 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return _handover(a.entries @ b.entries - b.entries @ a.entries)
 
 
-def _pairwise_trace(a: np.ndarray, b: np.ndarray):
-    """trace(ab - ba) = sum_{k<j} (G_kj + G_jk), G = E - E^T, E_kj = a_kj b_jk.
-
-    G is exactly antisymmetric entry by entry (the same two floats are
-    multiplied on both sides), so every paired sum is exactly zero.
-    """
-    e = a * b.T
-    g = e - e.T
-    return np.sum(np.triu(g, 1) + np.tril(g, -1).T)
-
-
 def commutator_trace(a: OperatorMatrix, b: OperatorMatrix) -> complex:
     """trace(ab - ba), evaluated so the cancellation is exact in floats.
 
-    Pairs the entries as `_pairwise_trace` does, so the returned value is
-    0.0 for any two finite matrices, independent of truncation.
+    trace(ab - ba) = sum_{k<j} (G_kj + G_jk), G = E - E^T, E_kj = a_kj b_jk.
+    G is exactly antisymmetric entry by entry (the same two floats are
+    multiplied on both sides), so every paired sum is exactly zero and the
+    returned value is 0.0 for any two finite matrices, independent of
+    truncation.
     """
     _check_same_dim(a, b)
-    return complex(_pairwise_trace(a.entries, b.entries))
+    e = a.entries * b.entries.T
+    g = e - e.T
+    return complex(np.sum(np.triu(g, 1) + np.tril(g, -1).T))
 
 
 @dataclass(frozen=True)
@@ -299,7 +290,7 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
     antisymmetric, [x, p]_kk = -2i sum_j X_kj (P/i)_kj, and the b x b
     interior block is X[:b] (P/i)[:, :b] - (P/i)[:b] X[:, :b] times i.  The
     trace pairs G_kj = -2 X_kj (P/i)_kj with G_jk, its exact negation, as
-    `_pairwise_trace` does, so it is 0 unless an entry is not finite.
+    `commutator_trace` does, so it is 0 unless an entry is not finite.
     """
     if 4 * block.max_index > cfg.N:
         raise ValueError(

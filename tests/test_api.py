@@ -113,6 +113,29 @@ SIGNATURES = {
 }
 
 
+# the public attributes of every public class (methods, properties, class constants and
+# dataclass fields with a default); removing a method edits this table
+ATTRIBUTES = {
+    "CommutatorReport": [],
+    "ConfigError": [],
+    "FockAlgebraReport": [],
+    "FockBasis": ["cutoff", "dimension", "index_of", "occupations"],
+    "FockState": ["occupied", "vacuum"],
+    "InteriorBlockSpec": [],
+    "InvariantViolation": [],
+    "MatrixwellError": [],
+    "NonConvergentDerivative": [],
+    "OperatorMatrix": ["dim", "frobenius", "hermiticity_defect"],
+    "ProjectionError": [],
+    "RunReport": ["COLUMNS", "column", "nrows"],
+    "ShortTimeResiduals": [],
+    "StateVector": ["dim", "eigenstate", "uniform_superposition"],
+    "Statistics": ["BOSON", "FERMION"],
+    "TimeGrid": ["spacing", "times"],
+    "WellConfig": ["L", "N", "base_frequency", "hbar", "m", "mode_numbers"],
+}
+
+
 def test_all_is_pinned():
     assert matrixwell.__all__ == PUBLIC
 
@@ -125,6 +148,13 @@ def test_signatures_are_pinned():
         if inspect.isfunction(getattr(matrixwell, name)) or "__init__" in vars(getattr(matrixwell, name))
     ]
     assert {name: list(inspect.signature(getattr(matrixwell, name)).parameters) for name in own} == SIGNATURES
+
+
+def test_class_attributes_are_pinned():
+    classes = [name for name in matrixwell.__all__ if inspect.isclass(getattr(matrixwell, name))]
+    assert {
+        name: sorted(key for key in vars(getattr(matrixwell, name)) if not key.startswith("_")) for name in classes
+    } == ATTRIBUTES
 
 
 def test_every_public_name_resolves():

@@ -183,11 +183,17 @@ class TestOptionTable:
                 "spread --N 20", "state", "gaussian:center=0.5,width=0.05,center=0.6", id="spread-state-center-twice"
             ),
             pytest.param("spread --N 20", "state", "modes:1,1", id="spread-state-mode-twice"),
+            # gaussian specs with a misspelt key or without a width
+            pytest.param("spread --N 20", "state", "gaussian:center=0.5,wdth=0.05", id="spread-state-unknown-key"),
+            pytest.param("spread --N 20", "state", "gaussian:center=0.5", id="spread-state-no-width"),
             # Fock bases of at least 2^modes states, refused before (cutoff+1)^modes is formed
             pytest.param("fock-algebra --N 3000000 --cutoff 1000000", "modes", "3000000", id="fock-algebra-modes-3e6"),
             pytest.param(
                 "fock-algebra --N 100000 --statistics fermion", "modes", "100000", id="fock-algebra-fermion-modes-1e5"
             ),
+            # Fock bases whose modes alone stay under the cap and whose cutoff breaks it
+            pytest.param("fock-algebra --modes 1", "cutoff", "40000", id="fock-algebra-cutoff-40000"),
+            pytest.param("fock-density --modes 3", "cutoff", "40", id="fock-density-cutoff-40"),
             # scales at which p/i or the [x, p] diagonal overflows; blamed on the scale farthest from 1
             pytest.param("elements --N 64", "hbar", "1e307", id="elements-hbar-1e307"),
             pytest.param("commutator --N 64", "hbar", "1e307", id="commutator-hbar-1e307"),
@@ -484,6 +490,22 @@ class TestFailureModes:
         )
         assert code == 2  # packet needs far more modes than N=4
         assert not out.exists()
+        assert not out.with_name(out.name + ".tmp").exists()
+
+    def test_config_line_without_equals_refused(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("N 4\n", encoding="utf-8")
+        assert main(["elements", "--config", str(cfgfile)]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "field"}
+        assert diag["field"] == "config"
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["elements", "--N", "4", "--out", str(out)]) == 1
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "kind"}
+        assert diag["kind"] == "io"
         assert not out.with_name(out.name + ".tmp").exists()
 
     def test_unknown_scenario_rejected(self, capsys):

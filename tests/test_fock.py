@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -17,8 +18,14 @@ from matrixwell import (
     density_expectation,
     mode_frequency,
 )
+from matrixwell.fock import _ladders
 
 from oracles import dense_annihilator, dense_field, wedge_annihilation
+
+# bases small enough to enumerate with itertools and to build as dense matrices
+SMALL_BASES = [FockBasis(m, Statistics.BOSON, c) for m in range(1, 5) for c in range(1, 4)] + [
+    FockBasis(m, Statistics.FERMION) for m in range(1, 6)
+]
 
 
 @pytest.fixture
@@ -51,6 +58,13 @@ class TestFockBasis:
         basis = FockBasis(2, Statistics.FERMION)
         occ = basis.occupations()
         np.testing.assert_array_equal(occ, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        # the basis order pinned by itertools, independently of how the basis computes it
+        for basis in SMALL_BASES:
+            expected = list(itertools.product(range(basis.cutoff + 1), repeat=basis.modes))
+            occ = basis.occupations()
+            assert occ.shape == (basis.dimension, basis.modes) and occ.dtype.kind == "i"
+            np.testing.assert_array_equal(occ, expected)
+            assert [basis.index_of(o) for o in expected] == list(range(basis.dimension))
 
     def test_index_roundtrip(self, bosons):
         occ = bosons.occupations()
@@ -103,6 +117,15 @@ class TestAnnihilator:
                     oracle = wedge_annihilation(modes, (n1, n2), mode)
                     expect = sum(oracle[j] * singles[j + 1] for j in range(modes))
                     np.testing.assert_allclose(got, expect, atol=1e-14)
+
+    def test_shift_forms_match_dense(self):
+        # each shift form, placed as one entry per column, is the oracle's a_n exactly
+        for basis in SMALL_BASES:
+            cols = np.arange(basis.dimension)
+            for n, (target, amps) in enumerate(_ladders(basis), start=1):
+                a = np.zeros((basis.dimension, basis.dimension))
+                a[target, cols] = amps
+                np.testing.assert_array_equal(a, dense_annihilator(basis, n), err_msg=f"{basis} a_{n}")
 
 
 class TestAlgebra:
