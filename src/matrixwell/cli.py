@@ -64,6 +64,10 @@ FOCK = ("fock-density", "fock-algebra")
 GRID = ("evolve", "spread", "ehrenfest")
 _EVOLVE_COLUMNS = ("t", "max_change_from_start", "frobenius_drift", "hermiticity_defect")
 _DENSITY_COLUMNS = ("x", "density")
+# The largest N^2 ulp(omega_1 |t|) a grid end may give, in radians.  Against 60-digit phases, the
+# phases n^2 omega_1 t, n <= N, err by at most 2.7 times it, so an accepted phase factor keeps about
+# six digits.  fock-density's t needs no floor: its occupation eigenstates do not depend on t.
+_PHASE_RESOLUTION = 1e-6
 # the option that sets the rows of a scenario's float64 report table, and its columns
 _TABLE_ROWS = {
     "evolve": ("steps", len(_EVOLVE_COLUMNS)),
@@ -293,6 +297,11 @@ def parse_config(argv) -> RunConfig:
             times["t-end"]["the d/dt stencil's 4 B / h"] = 4.0 * max(0.5, w.L, w.hbar * math.pi * n / w.L) / h
         for key, late in times.items():
             _require_range(v, key, late, -math.inf)
+        if scenario in GRID:
+            for key in ("t-start", "t-end"):
+                error = n**2 * np.spacing(abs(omega * v[key]))
+                rule = f"resolves the phases N^2 omega_1 t only to {error:.3g} rad at N={v['N']}"
+                _require(v, key, error <= _PHASE_RESOLUTION, f"{rule}, above {_PHASE_RESOLUTION:g}")
     grid = None
     if scenario in GRID:
         _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")

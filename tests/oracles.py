@@ -24,8 +24,9 @@ p/i against the report that works a block of rows at a time,
 against the column renderer of `reports`, and `dense_evolve_report`/
 `dense_revival_report` evolve the whole N x N position matrix at each
 sample against the phase-exponent groups of the `evolve` and `revival`
-scenarios, `two_phase_evolution_checks` evaluates both phases of each
-group against the one exponential per group of those scenarios, and
+scenarios, `two_phase_evolution_checks` groups the entries itself and
+evaluates both phases of every group at every time against the one
+exponential per group, taken largest peak first, of those scenarios, and
 `direct_sine_coefficients` evaluates sin(k_n x) at every node for every
 mode against the panel factorisation of `well.sine_coefficients`.
 """
@@ -372,14 +373,23 @@ def dense_evolve_report(cfg, times):
 def two_phase_evolution_checks(cfg, times):
     """`evolve` scenario rows from both phases of every |k^2 - l^2| group, each formed by `np.exp`.
 
-    The earlier group loop of `operators._position_evolution_checks`: the
-    (k, l) phase e^{-i|d| w t} and the (l, k) phase e^{+i|d| w t}, k < l,
-    are evaluated separately, as `evolve` evaluates them, and the
-    Hermiticity defect compares the one with the conjugate of the other.
+    The group loop the `evolve` report once ran over every group at every
+    time, on groups formed here: the k < l, k + l odd entries of
+    `closed_form_matrices` are grouped by |k^2 - l^2| with `np.unique`, each
+    group keeping its largest |x_kl| and its sum of x_kl^2.  The (k, l) phase
+    e^{-i|d| w t} and the (l, k) phase e^{+i|d| w t} are evaluated
+    separately, as `evolve` evaluates them, and the Hermiticity defect
+    compares the one with the conjugate of the other.
     """
-    from matrixwell.operators import _position_phase_groups
-
-    exponents, peak, weight = _position_phase_groups(cfg)
+    x, _ = closed_form_matrices(cfg)
+    k, l = np.triu_indices(cfg.N, 1)
+    odd = (k + l) % 2 == 1
+    k, l = k[odd], l[odd]
+    entries = x[k, l]
+    exponents, group = np.unique((l + 1) ** 2 - (k + 1) ** 2, return_inverse=True)
+    peak, weight = np.zeros(exponents.shape), np.zeros(exponents.shape)
+    np.maximum.at(peak, group, np.abs(entries))
+    np.add.at(weight, group, entries * entries)
     signed = np.stack([-exponents, exponents])  # the (k, l) and (l, k) entries, k < l
     diagonal = cfg.N * (cfg.L / 2.0) ** 2
 

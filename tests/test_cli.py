@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrixwell import build_momentum, build_position
+from matrixwell import WellConfig, build_momentum, build_position, revival_time
 from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
 from matrixwell.errors import ConfigError
 from matrixwell.operators import _closed_form_rows
 from matrixwell.reports import render_csv, render_json
+
+SI_ELECTRON = (1e-9, 9.1093837015e-31, 1.054571817e-34)  # L, m, hbar
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -211,6 +213,14 @@ class TestOptionTable:
                 "spread --N 20 --hbar 1e10 --L 1e3 --steps 3 --state eigen:1", "t-end", "1e300", id="spread-t-end-1e300"
             ),
             pytest.param("spread --N 20 --m 1e190 --state eigen:1 --steps 5", "hbar", "1e200", id="spread-hbar-1e200"),
+            # grid ends at which float64 resolves the phases N^2 omega_1 t no better than 1e-6 rad
+            pytest.param(
+                "ehrenfest --N 20 --state eigen:1 --t-end 1.000000000000001e15 --steps 3", "t-start", "1e15",
+                id="ehrenfest-t-start-1e15",
+            ),
+            pytest.param("evolve --N 200", "t-end", "1e6", id="evolve-t-end-1e6"),
+            pytest.param("spread --N 64 --state eigen:1 --steps 3", "t-end", "1e7", id="spread-t-end-1e7"),
+            pytest.param("evolve --N 100 --t-end 0", "t-start", "-1e6", id="evolve-t-start-minus-1e6"),
             # sizes beyond the float range, checked in integers before any magnitude is formed; each
             # once ended in an OverflowError, or named a scale that is 1
             pytest.param("evolve", "steps", "1" + "0" * 400, id="evolve-steps-1e400"),
@@ -635,6 +645,24 @@ class TestFailureModes:
         assert set(diag) == {"error", "field"}
         assert diag["field"] == field
 
+    @pytest.mark.parametrize(
+        "n, periods, resolved",
+        [(300, 100.0, True), (4096, 1.0, True), (20, -1e6, True), (20, 1e8, False), (300, -1e5, False)],
+    )
+    @pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), SI_ELECTRON])
+    def test_phase_resolution_floor(self, n, periods, resolved, scales):
+        """A grid end is refused once N^2 ulp(omega_1 |t|) passes 1e-6 rad, at any scale."""
+        L, m, hbar = scales
+        t = periods * revival_time(WellConfig(L=L, m=m, hbar=hbar, N=n))
+        ends = ["--t-start", repr(t), "--t-end", "0"] if t < 0 else ["--t-end", repr(t)]
+        argv = ["evolve", "--N", str(n), "--L", repr(L), "--m", repr(m), "--hbar", repr(hbar), *ends]
+        if resolved:
+            parse_config(argv)
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse_config(argv)
+            assert err.value.field == ("t-start" if t < 0 else "t-end")
+
 
 def test_cli_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -752,9 +780,6 @@ def test_any_argv_exits_cleanly(argv):
 def _magnitude(lo, hi):
     """10**e for e uniform in [lo, hi]: log-uniform magnitudes."""
     return st.floats(lo, hi).map(lambda e: 10.0**e)
-
-
-SI_ELECTRON = (1e-9, 9.1093837015e-31, 1.054571817e-34)  # L, m, hbar
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from matrixwell import (
     position_element,
     revival_time,
 )
+from matrixwell.operators import _position_evolution_checks, _position_phase_groups
 from matrixwell.well import _MAX_DENSE_BYTES
 from oracles import closed_form_matrices
 
@@ -216,8 +218,8 @@ class TestEvolve:
         conjugate, which is what evolve gives only while numpy pairs the two bit for bit.
         A numpy that breaks the pairing fails here, not in a report.  At y = 0 the two
         differ in the sign of a zero imaginary part only.  That zero never reaches a
-        column: the columns use a phase only through |x e - x| and |e|^2, which drop the
-        sign, and y = |k^2 - l^2| w t is 0 only where w t is, since k + l is odd.
+        column: the columns use a phase only through |x e - x|, which drops the sign,
+        and y = |k^2 - l^2| w t is 0 only where w t is, since k + l is odd.
         """
         rng = np.random.default_rng(11)
         n = math.isqrt(_MAX_DENSE_BYTES // 16)  # the largest N under the dense cap
@@ -234,6 +236,23 @@ class TestEvolve:
         np.testing.assert_array_equal(pair[0].view(np.uint64), pair[1].view(np.uint64))
         zero = np.exp(1j * np.array([-0.0])), np.exp(1j * np.array([0.0])).conj()
         assert zero[0] == zero[1]  # 1 + 0j and 1 - 0j at numpy 2.4.6
+
+    def test_evolve_report_exponentiates_few_groups(self):
+        """Inside one revival period at N = 200, T = 101, the `evolve` report's samples stop after
+        at most 10 % of the phase groups, counted as the elements handed to np.exp, so a
+        return to evaluating every group at every sample fails here without a timing."""
+        cfg = WellConfig(N=200)
+        interior = np.linspace(0.0, revival_time(cfg), 101)[1:-1]
+        real_exp, sizes = np.exp, []
+
+        def counting_exp(z, *args, **kwargs):
+            sizes.append(np.size(z))
+            return real_exp(z, *args, **kwargs)
+
+        with mock.patch.object(np, "exp", counting_exp):
+            _position_evolution_checks(cfg, interior)
+        groups = len(_position_phase_groups(cfg)[0])
+        assert 0 < sum(sizes) <= 0.1 * groups * len(interior)
 
 
 class TestCommutator:

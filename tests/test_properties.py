@@ -2,8 +2,9 @@
 shift-form Fock layer (bases of at most 125 states), the O(N^2)
 commutator report (N <= 200 against the full products, N <= 300 bit for
 bit against the whole-matrix report), the phase-exponent groups of the
-`evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 256
-bit for bit against both phases of each group), the panel-factorised sine
+`evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 300
+bit for bit against both phases of every group, whatever the first chunk
+of the stop rule), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
 force, the fractional revivals at t_r/4 and at random coprime p/q t_r with
 q <= 12 (phases and position space), and parity selection.
@@ -271,15 +272,41 @@ def test_evolve_report_matches_dense_evolution(flags, start, span, steps):
     st.integers(2, 40),
 )
 def test_evolve_checks_match_two_phase_loop_bitwise(scales, n, start, span, steps):
-    """One exponential per phase group gives the columns of both exponentials bit for bit,
-    on grids that may start before t = 0; the Hermiticity defect is exactly +0.0."""
+    """One exponential per phase group, largest peaks first, gives the largest change and the
+    Hermiticity defect of both exponentials of every group bit for bit, on grids that may start
+    before t = 0; the Frobenius drift is exactly +0.0, where the groups' own sum rounds within
+    N eps ||x(0)||_F."""
     L, m, hbar = scales
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
     t_r = revival_time(cfg)
     times = np.linspace(start * t_r, (start + span) * t_r, steps)
     got = _position_evolution_checks(cfg, times)
-    np.testing.assert_array_equal(got.view(np.uint64), two_phase_evolution_checks(cfg, times).view(np.uint64))
-    np.testing.assert_array_equal(got[2].view(np.uint64), np.zeros(steps, dtype=np.uint64))
+    want = two_phase_evolution_checks(cfg, times)
+    np.testing.assert_array_equal(got[[0, 2]].view(np.uint64), want[[0, 2]].view(np.uint64))
+    np.testing.assert_array_equal(got[1:].view(np.uint64), np.zeros((2, steps), dtype=np.uint64))
+    assert np.all(want[1] <= _drift_bound(cfg))
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+    st.integers(2, 300),
+    st.integers(-8, 0),
+    st.integers(4, 8),
+    st.integers(1, 4),
+)
+def test_evolve_stop_rule_at_chunk_edges(scales, n, first, last, per_quarter):
+    """With a first chunk of one group, and of more than all G groups, the largest change is the
+    all-groups loop's bit for bit, on grids from first/4 t_r to last/4 t_r that pass through 0,
+    t_r/4, t_r/2 and t_r, where the groups' changes tie or are all rounding."""
+    L, m, hbar = scales
+    cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
+    times = revival_time(cfg) * (np.arange(first * per_quarter, last * per_quarter + 1) / (4 * per_quarter))
+    want = two_phase_evolution_checks(cfg, times)[0]
+    for chunk in (1, len(operators._position_phase_groups(cfg)[0]) + 1):
+        with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
+            got = _position_evolution_checks(cfg, times)[0]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @PROPERTY
