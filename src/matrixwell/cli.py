@@ -153,7 +153,7 @@ def _convert(opt: Option, raw: str):
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}", field="config") from None
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -421,7 +421,7 @@ def _run_revival(rc: RunConfig):
 
 
 def _fock_basis(options: dict) -> FockBasis:
-    return FockBasis(options["modes"], Statistics(options["statistics"]), options["cutoff"])
+    return FockBasis(options["modes"], options["statistics"], options["cutoff"])
 
 
 def _fock_basis_and_state(rc: RunConfig):

@@ -48,6 +48,7 @@ class FockBasis:
         if int(self.modes) != self.modes or self.modes < 1:
             raise ValueError(f"modes must be a positive integer, got {self.modes}")
         object.__setattr__(self, "modes", int(self.modes))
+        object.__setattr__(self, "statistics", Statistics(self.statistics))  # the enum or its value
         if self.statistics is Statistics.FERMION:
             if self.cutoff not in (1,):
                 raise ValueError("fermion occupation is 0/1; cutoff must be 1")
@@ -188,6 +189,8 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
     """Check [a_n, a_m]_± = 0 and [a_n, a_m^dagger]_± = delta_nm I on the basis.
 
     Works on the shift forms in O(M^2 d) operations; no d x d matrix is built.
+    Each unordered mode pair is checked once: (j, i) gives the (i, j) relations
+    negated, repeated or adjoint, from the same float products.
     """
     ann = _ladders(basis)
     cre = [_adjoint(a) for a in ann]
@@ -199,7 +202,7 @@ def check_algebra(basis: FockBasis) -> FockAlgebraReport:
     pair = 0.0
     saturated_total = 0
     for i in range(basis.modes):
-        for j in range(basis.modes):
+        for j in range(i, basis.modes):
             _, pair_rel = _relation(_compose(ann[i], ann[j]), _compose(ann[j], ann[i]), sign, False)
             pair = max(pair, float(np.abs(pair_rel).max()))
             rows, rel = _relation(_compose(ann[i], cre[j]), _compose(cre[j], ann[i]), sign, i == j)

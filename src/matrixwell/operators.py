@@ -276,7 +276,7 @@ class CommutatorReport:
 
     interior_max_deviation: max |([x,p]/(i hbar))_kl - delta_kl| over the
         interior block.
-    trace: trace of [x, p] via the exact pairwise evaluation (always 0).
+    trace: trace of [x, p], the exact 0 the closed forms fix (NaN if not finite).
     trace_naive: the same trace summed naively, exposing float roundoff.
     edge_diagonal_min: the most negative diagonal entry of [x,p]/(i hbar).
         The trace identity forces the edge diagonal to cancel the interior
@@ -299,8 +299,9 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
     operations and below one dense N x N matrix: with X symmetric and P/i
     antisymmetric, [x, p]_kk = -2i sum_j X_kj (P/i)_kj, and the b x b
     interior block is X[:b] (P/i)[:, :b] - (P/i)[:b] X[:, :b] times i.  The
-    trace pairs G_kj = -2 X_kj (P/i)_kj with G_jk, its exact negation, as
-    `commutator_trace` does, so it is 0 unless an entry is not finite.
+    trace is the exact 0 fixed by the symmetry of X and antisymmetry of P/i,
+    or NaN when a diagonal term is not finite (|2 X_kj (P/i)_kj| stays below
+    4 hbar k l, so it is finite wherever (P/i)_kj is).
     """
     if 4 * block.max_index > cfg.N:
         raise ValueError(
@@ -308,7 +309,7 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
         )
     _check_dense(cfg.N)
     b = block.max_index
-    trace_terms, trace = np.empty(cfg.N), 0.0  # [x, p]_kk / i, and the paired trace
+    trace_terms = np.empty(cfg.N)  # [x, p]_kk / i
     head_x, head_p = np.empty((b, cfg.N)), np.empty((b, cfg.N))
     # the first b columns of X and P/i, interleaved, so a column's stride stays above 1 as in
     # an N x N matrix: numpy sums a 1 x N by N x 1 product in an order that depends on it
@@ -316,10 +317,6 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
     for lo, hi in _row_blocks(cfg.N):
         x, p_over_i = _closed_form_rows(cfg, lo, hi)
         trace_terms[lo:hi] = -2.0 * np.einsum("kj,kj->k", x, p_over_i)
-        g = x * p_over_i
-        g += g  # -G_kj = G_jk
-        pairs = -g + g  # G_kj + G_jk; those with k < j lie right of the block's diagonal
-        trace += float(np.sum(np.triu(pairs[:, lo:hi], 1)) + np.sum(pairs[:, hi:]))
         top = max(0, min(hi, b) - lo)  # the rows of this block among the first b
         head_x[lo : lo + top], head_p[lo : lo + top] = x[:top], p_over_i[:top]
         columns[lo:hi, 0], columns[lo:hi, 1] = x[:, :b], p_over_i[:, :b]
@@ -329,7 +326,7 @@ def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> Co
         dim=cfg.N,
         block=b,
         interior_max_deviation=float(np.abs(interior).max()),
-        trace=complex(0.0, trace),
+        trace=complex(0.0, 0.0 if np.isfinite(trace_terms).all() else math.nan),
         trace_naive=complex(0.0, trace_terms.sum()),
         worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),
         edge_diagonal_min=float(diag.min()),

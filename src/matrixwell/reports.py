@@ -26,13 +26,9 @@ import numpy as np
 
 def _json_value(v) -> str:
     """One config or diagnostics value (scalars, dicts and lists of them)."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):  # a bool is an int, but no report carries one
         return str(v)
     if isinstance(v, float):
         return _column_cells([v], 17, quote=True)[0]

@@ -50,6 +50,20 @@ class TestParseConfig:
         assert rc.well.N == 8  # flag wins
         assert rc.well.L == 2.0  # file value survives
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_config_file_with_byte_order_mark(self, tmp_path, fmt):
+        # the mark is not part of the first key ('\ufeffN' is no option)
+        text = "N = 8\nL = 2.0\n"
+        reports = []
+        for name, raw in (("plain", text.encode("utf-8")), ("bom", b"\xef\xbb\xbf" + text.encode("utf-8"))):
+            (tmp_path / name).mkdir()
+            cfgfile, out = tmp_path / name / "run.cfg", tmp_path / name / "report.dat"
+            cfgfile.write_bytes(raw)
+            assert run_cli(["commutator", "--config", str(cfgfile)], out=out, fmt=fmt) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert parse_config(["commutator", "--config", str(tmp_path / "bom" / "run.cfg")]).well.N == 8
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("wibble = 3\n", encoding="utf-8")
@@ -517,6 +531,19 @@ class TestFailureModes:
         assert set(diag) == {"error", "kind"}
         assert diag["kind"] == "io"
         assert not out.with_name(out.name + ".tmp").exists()
+
+    def test_output_onto_a_directory_is_an_io_error(self, tmp_path, capsys):
+        # the temporary file is written, the rename onto the directory fails, and it is removed
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept", encoding="utf-8")
+        assert main(["elements", "--N", "4", "--out", str(out)]) == 1
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert set(diag) == {"error", "kind"}
+        assert diag["kind"] == "io"
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text(encoding="utf-8") == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
 
     def test_unknown_scenario_rejected(self, capsys):
         assert main(["warp-drive"]) == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from matrixwell import (
     density_expectation,
     mode_frequency,
 )
+from matrixwell import fock
 from matrixwell.fock import _ladders
 
 from oracles import dense_annihilator, dense_field, wedge_annihilation
@@ -78,6 +80,19 @@ class TestFockBasis:
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
             FockBasis(16, Statistics.FERMION)
+
+    def test_statistics_value_is_taken_as_the_enum(self):
+        # the ladders test the enum by identity: a string kept as is would pair a boson
+        # cutoff with fermion sign strings (same_mode_defect 1.0, pair_defect 2.0)
+        basis = FockBasis(2, "boson", 3)
+        assert basis.statistics is Statistics.BOSON
+        assert basis == FockBasis(2, Statistics.BOSON, 3)
+        assert check_algebra(basis) == check_algebra(FockBasis(2, Statistics.BOSON, 3))
+        assert FockBasis(3, "fermion").statistics is Statistics.FERMION
+
+    def test_unknown_statistics_refused(self):
+        with pytest.raises(ValueError):
+            FockBasis(2, "bosun", 3)
 
 
 class TestAnnihilator:
@@ -147,6 +162,16 @@ class TestAlgebra:
         # operators of different modes commute exactly
         assert rep.cross_mode_defect == 0.0
         assert rep.pair_defect == 0.0
+
+    @pytest.mark.parametrize("basis", [FockBasis(m, Statistics.BOSON, 2) for m in (1, 2, 4)] + [
+        FockBasis(m, Statistics.FERMION) for m in (3, 6)
+    ])
+    def test_each_mode_pair_checked_once(self, basis):
+        # two relations per unordered pair (i <= j): M(M+1) calls, not 2 M^2 over ordered pairs
+        with mock.patch.object(fock, "_relation", wraps=fock._relation) as relation:
+            rep = check_algebra(basis)
+        assert relation.call_count == basis.modes * (basis.modes + 1)
+        assert rep.pair_defect == 0.0 and rep.cross_mode_defect == 0.0
 
     def test_boson_boundary_value_directly(self):
         basis = FockBasis(1, Statistics.BOSON, cutoff=3)

@@ -288,7 +288,7 @@ class TestCanonicalCommutatorReport:
         cfg = WellConfig(N=120)
         rep = canonical_commutator_report(cfg, InteriorBlockSpec(10))
         assert rep.interior_max_deviation < 0.05
-        assert rep.trace == 0.0  # pairwise-cancelled evaluation is exact
+        assert rep.trace == 0.0  # exact: the closed forms fix it
         assert abs(rep.trace_naive) < 1e-10  # naive summation only reaches roundoff
         assert rep.edge_diagonal_min < -1.0  # the truncation artifact is visible
 

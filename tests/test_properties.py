@@ -1,7 +1,8 @@
 """Property tests on random states: the series engine (N <= 64), the
 shift-form Fock layer (bases of at most 125 states), the O(N^2)
 commutator report (N <= 200 against the full products, N <= 300 bit for
-bit against the whole-matrix report), the phase-exponent groups of the
+bit against the whole-matrix report, and its trace against the paired
+sum at scales over 1e+-300), the phase-exponent groups of the
 `evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 300
 bit for bit against both phases of every group, whatever the first chunk
 of the stop rule), the panel-factorised sine
@@ -19,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matrixwell import (
@@ -228,6 +229,24 @@ def test_commutator_report_is_bit_equal_to_the_dense_report(log_l, log_hbar, n, 
         got = canonical_commutator_report(cfg, block)
     assert _bits(got) == _bits(dense_commutator_report(cfg, block))
     assert got.trace == 0.0
+
+
+@PROPERTY
+@example(log_l=0.0, log_hbar=306.0, n=64)  # 4 hbar k l overflows
+@example(log_l=-300.0, log_hbar=10.0, n=16)  # p/i overflows through a tiny L
+@example(log_l=300.0, log_hbar=-300.0, n=16)  # p/i underflows to zero
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 308.0), st.integers(4, 64))
+def test_commutator_trace_is_the_paired_sum_at_any_scale(log_l, log_hbar, n):
+    """The report's exact trace is 0 where E - E^T pairs every entry to 0, and NaN where it does not."""
+    cfg = WellConfig(L=10.0**log_l, hbar=10.0**log_hbar, N=n)
+    with np.errstate(all="ignore"):
+        got = canonical_commutator_report(cfg, InteriorBlockSpec(1)).trace
+        want = dense_commutator_report(cfg, InteriorBlockSpec(1)).trace
+    assert np.float64(got.real).view(np.uint64) == 0 and np.float64(want.real).view(np.uint64) == 0
+    if math.isnan(want.imag):
+        assert math.isnan(got.imag)
+    else:
+        assert np.float64(got.imag).view(np.uint64) == np.float64(want.imag).view(np.uint64) == 0
 
 
 @st.composite

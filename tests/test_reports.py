@@ -93,6 +93,13 @@ def test_nonfinite_diagnostic_refused():
         render_json({}, ["a"], [[1.0]], {"integral": float("nan")})
 
 
+@pytest.mark.parametrize("value", [True, None])
+def test_boolean_or_none_diagnostic_refused(value):
+    # no report carries either; a bool is an int and would otherwise print as True
+    with pytest.raises(TypeError, match="cannot serialize"):
+        render_json({}, ["a"], [[1.0]], {"flag": value})
+
+
 def test_ragged_columns_refused():
     with pytest.raises(ValueError, match="differ in length"):
         render_csv(["a", "b"], [[1.0, 2.0], [3.0]])
