@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
     OperatorMatrix,
+    _closed_form_rows,
+    _row_blocks,
     build_momentum,
     build_position,
     commutator,
@@ -185,17 +187,24 @@ def gaussian_packet(cfg: WellConfig, center: float, width: float, mean_momentum:
 
     The envelope is exp(-(x - center)^2 / (4 width^2)), so `width` is the
     position spread of the packet before the walls matter, times a plane
-    wave exp(i mean_momentum x / hbar).
+    wave exp(i mean_momentum x / hbar).  Refuses, before sampling, a
+    mean_momentum / hbar that is not finite and a width whose 4 width^2 is
+    not a normal float.
     """
     if not (0.0 < center < cfg.L):
         raise ValueError(f"packet center must lie inside (0, {cfg.L})")
     if not (0.0 < width < cfg.L / 4.0):
         raise ValueError(f"packet width must lie in (0, L/4 = {cfg.L / 4.0})")
-
+    four_var = 4.0 * width * width
+    if not np.finfo(float).tiny <= four_var < math.inf:
+        raise ValueError(f"packet width {width!r} gives 4 width^2 = {four_var!r}, not a normal float")
     k0 = mean_momentum / cfg.hbar
+    if not math.isfinite(k0):
+        raise ValueError(f"packet momentum {mean_momentum!r} over hbar {cfg.hbar!r} is not a finite wavenumber")
 
     def packet(x):
-        return np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * k0 * x)
+        with np.errstate(over="ignore"):  # a quotient past the float range is the exact limit: exp(-inf) = 0
+            return np.exp(-((x - center) ** 2) / four_var + 1j * k0 * x)
 
     return project_wavefunction(cfg, packet)
 
@@ -278,17 +287,38 @@ def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray)
     return phase, state.coeffs[:, None] * phase
 
 
-def _moments(op: np.ndarray, c: np.ndarray):
-    """W = O C, <O> = Re sum conj(C) W and <O^2> = sum |W|^2 per column of C, O Hermitian."""
-    w = op @ c
+def _real_closed_forms(cfg: WellConfig, count: int) -> list:
+    """The first `count` of the real N x N matrices x and p/i, a block of `_closed_form_rows` at a time.
+
+    Raises ValueError above the dense cap before allocating.
+    """
+    _check_dense(cfg.N)
+    mats = [np.empty((cfg.N, cfg.N)) for _ in range(count)]
+    for lo, hi in _row_blocks(cfg.N):
+        for m, rows in zip(mats, _closed_form_rows(cfg, lo, hi)):
+            m[lo:hi] = rows
+    return mats
+
+
+def _real_product(op: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """op @ c for a real op and C-contiguous complex c, as one real product on the float view of c.
+
+    numpy would otherwise convert all of op to a complex copy.
+    """
+    return (op @ c.view(float)).view(complex)
+
+
+def _moments(w: np.ndarray, c: np.ndarray):
+    """<O> = Re sum conj(C) W and <O^2> = sum |W|^2 per column of C, for W = O C with O Hermitian."""
     cc = c.conj()  # named: numpy may multiply into an unnamed temporary with other rounding
-    return w, np.real(np.sum(cc * w, axis=0)), np.sum(np.abs(w) ** 2, axis=0)
+    return np.real(np.sum(cc * w, axis=0)), np.sum(np.abs(w) ** 2, axis=0)
 
 
 def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> np.ndarray:
     """Delta x(t) at each time, from one product X C over the Schrodinger columns."""
+    (x,) = _real_closed_forms(cfg, 1)
     _, c = _schrodinger_columns(state, cfg, times)
-    _, mean, second = _moments(build_position(cfg).entries, c)
+    mean, second = _moments(_real_product(x, c), c)
     return _std_from_moments(second, mean, "dx(t)")
 
 
@@ -298,6 +328,8 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
     <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C for x
     and p per block (`_moments`) replaces a phase matrix per sample, and
     the force needs only the two sums u^T C and v^T C (`_wall_force`).
+    x and p/i are real, so each product is one real GEMM (`_real_product`),
+    with p C = i (p/i) C.
     """
     if state.dim != cfg.N:
         raise ValueError(f"state dimension {state.dim} does not match cfg.N={cfg.N}")
@@ -305,12 +337,11 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
         raise ValueError(
             f"series reports need steps >= 3 for second-order differences, got {grid.steps}"
         )
-    x = build_position(cfg).entries
-    p = build_momentum(cfg).entries
+    x, p_over_i = _real_closed_forms(cfg, 2)
     s, u, v = _wall_force(cfg)
 
     a = state.coeffs
-    u0 = x @ a
+    u0 = _real_product(x, a[:, None])[:, 0]
     x0_mean = float(np.real(np.vdot(a, u0)))
     dx0 = float(_std_from_moments(float(np.real(np.vdot(u0, u0))), x0_mean, "dx(0)"))
 
@@ -320,8 +351,9 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
     for lo in range(0, times.size, _SERIES_BLOCK):
         block = slice(lo, lo + _SERIES_BLOCK)
         phase, c = _schrodinger_columns(state, cfg, times[block])
-        wx, x_mean, x_second = _moments(x, c)
-        _, p_mean, p_second = _moments(p, c)
+        wx = _real_product(x, c)
+        x_mean, x_second = _moments(wx, c)
+        p_mean, p_second = _moments(1j * _real_product(p_over_i, c), c)
         f_means[block] = -s * (np.abs(u @ c) ** 2 - np.abs(v @ c) ** 2)
         cols[block, 1] = x_mean
         cols[block, 2] = p_mean

@@ -17,13 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Composite Gauss-Legendre rule (quadrature_rule): nodes per panel, the
-# fewest panels, and the entries of one mode-by-panel block in
-# sine_coefficients (an N x panels block would dominate peak memory at
-# desk-scale N).
-_GL_ORDER = 24
+# Composite Gauss-Legendre rule (quadrature_rule): the fewest panels, and
+# the entries of one block of modes x nodes x (real, imaginary) in
+# sine_coefficients.
 _GL_MIN_PANELS = 64
 _SINE_BLOCK_ELEMENTS = 2**15
+
+# The 24-point Gauss-Legendre rule on [-1, 1], bit for bit what
+# numpy.polynomial.legendre.leggauss(24) returns (which is exactly
+# symmetric): the positive nodes and their weights, ascending.
+_GL_HALF_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_GL_HALF_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
 
 # One dense complex N x N matrix: 256 MiB, so N <= 4096.  Builders refuse
 # more before allocating.
@@ -106,7 +118,9 @@ def _panel_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
     Returns the nodes as a (P, 24) array whose row p is p h + o_j (h = L/P,
     so row 0 holds the offsets o_j), and the 24 weights every panel shares.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    half = np.array(_GL_HALF_NODES)
+    nodes = np.concatenate([-half[::-1], half])
+    weights = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
     panels = max(_GL_MIN_PANELS, cfg.N)
     h = cfg.L / panels
     return np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0), weights * (h / 2.0)
@@ -130,37 +144,40 @@ def sine_coefficients(cfg: WellConfig, f) -> tuple[np.ndarray, float]:
     node array, and must accept an array of positions inside (0, L); it
     may return complex values.
 
+    Raises ValueError when the sampled integral of |f|^2 is not finite (a
+    NaN or overflowing sample).
+
     The sines factor over the panels of the rule: node j of panel p sits at
-    p h + o_j with h = L/P, so
+    x = p h + o_j with h = L/P, so k_n x = pi n p / P + k_n o_j and, for real
+    weighted samples g (the real and the imaginary parts of w f in turn),
 
-        sin(k_n x) = sin(pi m / P) cos(k_n o_j) + cos(pi m / P) sin(k_n o_j),
-        m = n p mod 2P.
+        sum_p g_pj sin(k_n x) = Im(e^{i k_n o_j} conj(S_j(n))),
+        S_j(n) = sum_p g_pj e^{-i pi n p / P}.
 
-    One table of 2P panel turns, indexed by the exact integer m, and the
-    local phases k_n o_j <= pi replace the N x 24P sines of a direct loop;
-    the reduction is exact where k_n x would round, so the coefficients
-    are at least as accurate as those of sin(k_n x) node by node.
+    S_j(n) is bin n of a real FFT of length 2P over the panels; n <= N <= P,
+    so no bin wraps.  The local phases k_n o_j <= pi are applied a block of
+    modes at a time, so neither the N x 24P sines of a direct loop nor an
+    N x P table of panel turns is formed.
     """
     x, w_panel = _panel_rule(cfg)
-    panels = x.shape[0]
+    panels, order = x.shape
     fx = np.asarray(f(x.ravel()), dtype=complex)
     w = np.tile(w_panel, panels)
-    norm2 = float(w @ (fx.real**2 + fx.imag**2))
-    wf = (w * fx).reshape(panels, _GL_ORDER)
-    # column p holds the real parts of panel p's weighted samples, column P + p the imaginary
-    samples = np.concatenate([wf.real, wf.imag]).T
-    turns = np.arange(2 * panels) * (math.pi / panels)
-    turn_sin, turn_cos = np.sin(turns), np.cos(turns)
-    p = np.arange(panels)
+    with np.errstate(over="ignore"):
+        norm2 = float(w @ (fx.real**2 + fx.imag**2))
+    if not math.isfinite(norm2):
+        raise ValueError(f"the sampled integral of |f|^2 over [0, L] is {norm2}, not finite")
+    # the float view puts the real and the imaginary part of each weighted sample side by side
+    wf = (w * fx).reshape(panels, order).view(float)
+    sums = np.fft.rfft(wf, 2 * panels, axis=0)[1 : cfg.N + 1].reshape(cfg.N, order, 2)
+    del fx, wf  # the samples go before the mode blocks, which set the peak at large N
     coeffs = np.empty(cfg.N, dtype=complex)
-    chunk = max(1, _SINE_BLOCK_ELEMENTS // panels)
+    chunk = max(1, _SINE_BLOCK_ELEMENTS // (2 * order))
     for start in range(0, cfg.N, chunk):
         n = np.arange(start + 1, min(start + chunk, cfg.N) + 1)
-        local = np.multiply.outer(n * (math.pi / cfg.L), x[0])
-        m = np.multiply.outer(n, p) % (2 * panels)
-        by_panel = (n.size, 2, panels)
-        re_im = np.einsum("nip,np->ni", (np.cos(local) @ samples).reshape(by_panel), turn_sin[m])
-        re_im += np.einsum("nip,np->ni", (np.sin(local) @ samples).reshape(by_panel), turn_cos[m])
+        local = np.multiply.outer(n * (math.pi / cfg.L), x[0])[:, :, None]
+        s = sums[start : start + n.size]
+        re_im = np.sum(np.sin(local) * s.real - np.cos(local) * s.imag, axis=1)
         coeffs[start : start + n.size] = re_im[:, 0] + 1j * re_im[:, 1]
     return math.sqrt(2.0 / cfg.L) * coeffs, norm2
 

@@ -28,7 +28,7 @@ scenarios, `two_phase_evolution_checks` groups the entries itself and
 evaluates both phases of every group at every time against the one
 exponential per group, taken largest peak first, of those scenarios, and
 `direct_sine_coefficients` evaluates sin(k_n x) at every node for every
-mode against the panel factorisation of `well.sine_coefficients`.
+mode against the FFT panel sums of `well.sine_coefficients`.
 """
 
 import json

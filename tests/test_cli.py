@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrixwell import WellConfig, build_momentum, build_position, revival_time
+from matrixwell import WellConfig, build_momentum, build_position, dynamics, operators, revival_time
 from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
 from matrixwell.errors import ConfigError
 from matrixwell.operators import _closed_form_rows
@@ -427,6 +428,27 @@ class TestScenarioOutputs:
         assert len(out.read_text().splitlines()) == 22
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spread", "--steps", "21", "--state", "gaussian:center=0.5,width=0.05"],
+        ["spread", "--steps", "21", "--state", "modes:1,4,7"],
+        ["ehrenfest", "--steps", "21", "--state", "gaussian:center=0.4,width=0.05,momentum=30"],
+        ["revival", "--state", "gaussian:center=0.5,width=0.05"],
+    ],
+)
+def test_series_scenarios_skip_the_complex_builders(args, monkeypatch, tmp_path):
+    """The series engine fills the real x and p/i itself; no dense complex copy is built."""
+
+    def refuse(cfg):
+        raise AssertionError("a dense complex builder was called")
+
+    for module in (operators, dynamics):
+        monkeypatch.setattr(module, "build_position", refuse)
+        monkeypatch.setattr(module, "build_momentum", refuse)
+    assert run_cli([*args, "--N", "100"], out=tmp_path / "report.csv") == 0
+
+
 class TestDeterminismAndRoundTrip:
     @pytest.mark.parametrize(
         "args",
@@ -556,6 +578,26 @@ class TestFailureModes:
         assert code == 2
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["field"] == "state"
+
+    @pytest.mark.parametrize(
+        "packet, scale, expect",
+        [
+            ("center=0.5,width=0.05,momentum=inf", [], "packet momentum"),
+            ("center=0.5,width=0.05,momentum=nan", [], "packet momentum"),
+            ("center=0.5,width=0.05,momentum=1e308", [], "packet momentum"),  # over hbar 0.5
+            ("center=0.5,width=1e-300", [], "packet width"),
+            ("center=0.5,width=1e-160", [], "packet width"),
+            ("center=5e9,width=1e-150", ["--L", "1e10"], "zero norm"),  # the exponent passes -1e308
+        ],
+    )
+    def test_unsampleable_packet_refused_without_a_warning(self, packet, scale, expect, capsys):
+        argv = ["spread", "--N", "50", "--steps", "5", "--hbar", "0.5", *scale, "--state", f"gaussian:{packet}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["field"] == "state"
+        assert expect in diag["error"]
 
     @pytest.mark.parametrize("scenario", ["spread", "ehrenfest"])
     def test_two_steps_refused_for_series(self, scenario, capsys):
@@ -689,6 +731,15 @@ class TestFailureModes:
             with pytest.raises(ConfigError) as err:
                 parse_config(argv)
             assert err.value.field == ("t-start" if t < 0 else "t-end")
+
+
+def test_cli_import_leaves_numpy_fft_and_polynomial_out():
+    """Only a run that projects a wavefunction loads numpy.fft; nothing loads numpy.polynomial."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = "import sys, matrixwell.cli; print(sorted({'numpy.fft', 'numpy.polynomial'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from matrixwell import (
     WellConfig,
     build_momentum,
     build_position,
+    completeness_defect,
     dispersion,
     ehrenfest_report,
     evolve,
@@ -25,9 +28,11 @@ from matrixwell import (
     projection_capture,
     revival_time,
     short_time_expansion_check,
+    sine_coefficients,
     spread_report,
     xt_x0_commutator,
 )
+from matrixwell.dynamics import _position_spread
 from matrixwell.well import eigenfunction
 
 from oracles import gaussian_whole_line_coefficients, two_mode_dx_truncated, x2_eigen_quad
@@ -105,6 +110,19 @@ class TestGaussianPacket:
             gaussian_packet(cfg, 0.5, cfg.L)
 
     @pytest.mark.parametrize(
+        "width, momentum, name",
+        [(0.05, math.inf, "momentum"), (0.05, math.nan, "momentum"), (0.05, 1e308, "momentum"),
+         (1e-300, 0.0, "width"), (1e-160, 0.0, "width")],
+    )
+    def test_unsampleable_packet_refused_before_sampling(self, width, momentum, name):
+        # 1e308 / hbar overflows; 4 width^2 underflows to 0 or to a subnormal
+        cfg = WellConfig(hbar=0.5, N=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"packet {name}"):
+                gaussian_packet(cfg, 0.5, width, mean_momentum=momentum)
+
+    @pytest.mark.parametrize(
         "L, center, width, k0L",
         [(0.701546, 0.350453, 0.031215, 0.0), (1.0, 0.5, 0.035, 35.0)],
     )
@@ -127,6 +145,20 @@ class TestGaussianPacket:
         p = build_momentum(cfg)
         s = gaussian_packet(cfg, 0.5, 0.07, mean_momentum=6.0)
         assert expectation(s, p).real == pytest.approx(6.0, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [sine_coefficients, projection_capture, project_wavefunction, lambda cfg, f: completeness_defect(cfg, f, 4)],
+    ids=["sine_coefficients", "projection_capture", "project_wavefunction", "completeness_defect"],
+)
+@pytest.mark.parametrize("sample", [math.nan, 1e200], ids=["nan", "square-overflows"])
+def test_non_finite_wavefunction_refused_by_every_projection(caller, sample):
+    """The sampled integral of |f|^2 is checked once, in sine_coefficients, for all its callers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|f\|\^2 .* not finite"):
+            caller(WellConfig(N=30), lambda x: np.full(x.shape, sample, dtype=complex))
 
 
 class TestExpectation:
@@ -315,6 +347,32 @@ class TestSpreadReport:
         expect = math.sqrt(second - mean * mean)
         got = dispersion(state, evolve(build_position(cfg), cfg, t))
         assert got == pytest.approx(expect, abs=1e-9)
+
+
+class TestSeriesFootprint:
+    """The series engine holds the real x and p/i, half a dense complex matrix each."""
+
+    DENSE = 16 * 1024**2  # one dense complex 1024 x 1024 matrix
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / self.DENSE
+        finally:
+            tracemalloc.stop()
+
+    def test_spread_report_at_n_1024(self):
+        """1.19 dense complex matrices; the complex x and p peaked at 2.20."""
+        cfg = WellConfig(N=1024)
+        grid = TimeGrid(0.0, 0.1 * revival_time(cfg), 65)
+        assert self._peak(lambda: spread_report(two_mode_state(cfg.N), cfg, grid)) <= 1.3
+
+    def test_position_spread_at_n_1024(self):
+        """0.64 dense complex matrices; the complex x peaked at 1.11."""
+        cfg = WellConfig(N=1024)
+        times = np.array([0.0, revival_time(cfg)])
+        assert self._peak(lambda: _position_spread(two_mode_state(cfg.N), cfg, times)) <= 0.75
 
 
 class TestShortTimeExpansion:

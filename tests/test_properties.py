@@ -502,7 +502,7 @@ def test_parity_selection(drawn, parity, span, steps):
 @PROPERTY
 @given(st.floats(0.1, 10.0), st.integers(8, 512), st.sampled_from(["packet", "samples"]), st.data())
 def test_sine_coefficients_match_direct_sines(L, n, kind, data):
-    """The panel factorisation against one sine per node and mode.
+    """The FFT panel sums against one sine per node and mode.
 
     `f` is a packet with a random centre, width and momentum up to k_N, or
     random complex values at the nodes.  The direct loop rounds its phase

@@ -115,10 +115,11 @@ class TestSineCoefficients:
         assert norm2 == pytest.approx(1.0, abs=1e-13)
 
     def test_peak_memory_at_n_2048(self):
-        """tracemalloc peak 4.1 MiB; the one-sine-per-node-and-mode loop peaked at 8.3 MiB.
+        """tracemalloc peak 3.8 MiB; the one-sine-per-node-and-mode loop peaked at 8.3 MiB.
 
         Both include the packet's own temporaries on the 49 152 nodes; the
-        mode-by-panel blocks hold 2**15 entries, so no N x P table is formed.
+        panel sums come from an FFT and the mode blocks hold 2**15 entries,
+        so no N x P table is formed.
         """
         cfg = well.WellConfig(N=2048)
 
