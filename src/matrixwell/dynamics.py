@@ -16,14 +16,14 @@ import numpy as np
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
     OperatorMatrix,
-    _closed_form_rows,
+    _odd_entries,
     _row_blocks,
     build_momentum,
     build_position,
     commutator,
     evolve,
 )
-from .well import WellConfig, _check_dense, sine_coefficients
+from .well import _GL_MIN_PANELS, WellConfig, _check_dense, sine_coefficients
 
 # Time samples per block of Schrodinger columns: bounds the N x block work
 # arrays while keeping each operator product a matrix-matrix product.
@@ -189,7 +189,7 @@ def gaussian_packet(cfg: WellConfig, center: float, width: float, mean_momentum:
     position spread of the packet before the walls matter, times a plane
     wave exp(i mean_momentum x / hbar).  Refuses, before sampling, a
     mean_momentum / hbar that is not finite and a width whose 4 width^2 is
-    not a normal float.
+    not a normal float, and after it a packet that no node sees.
     """
     if not (0.0 < center < cfg.L):
         raise ValueError(f"packet center must lie inside (0, {cfg.L})")
@@ -204,7 +204,12 @@ def gaussian_packet(cfg: WellConfig, center: float, width: float, mean_momentum:
 
     def packet(x):
         with np.errstate(over="ignore"):  # a quotient past the float range is the exact limit: exp(-inf) = 0
-            return np.exp(-((x - center) ** 2) / four_var + 1j * k0 * x)
+            samples = np.exp(-((x - center) ** 2) / four_var + 1j * k0 * x)
+        if not samples.any():
+            spacing = cfg.L / max(_GL_MIN_PANELS, cfg.N)
+            raise ValueError(f"packet has zero norm at every quadrature node: its width {width!r} lies far"
+                             f" below the rule's panel spacing L / max({_GL_MIN_PANELS}, N) = {spacing!r}")
+        return samples
 
     return project_wavefunction(cfg, packet)
 
@@ -276,36 +281,51 @@ def xt_x0_commutator(cfg: WellConfig, t: float) -> OperatorMatrix:
     return commutator(evolve(x, cfg, t), x)
 
 
-def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray):
+def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray, modes=slice(None)):
     """Phases exp(-i n^2 omega_1 t) and columns C = a exp(-i n^2 omega_1 t), one per time.
 
-    The phase is the integer n^2 times the one float omega_1 t, which lands
-    on multiples of 2 pi at the revival time.
+    Rows are the modes that `modes` indexes, in its order (all, ascending,
+    by default).  The phase is the integer n^2 times the one float
+    omega_1 t, which lands on multiples of 2 pi at the revival time.
     """
-    n2 = cfg.mode_numbers() ** 2
+    n2 = cfg.mode_numbers()[modes] ** 2
     phase = np.exp(-1j * (n2[:, None] * (cfg.base_frequency * times[None, :])))
-    return phase, state.coeffs[:, None] * phase
+    return phase, state.coeffs[modes][:, None] * phase
 
 
-def _real_closed_forms(cfg: WellConfig, count: int) -> list:
-    """The first `count` of the real N x N matrices x and p/i, a block of `_closed_form_rows` at a time.
+def _parity_blocks(cfg: WellConfig, count: int) -> list:
+    """B = x[odd, even] and, for count 2, Q = (p/i)[odd, even], a block of rows at a time.
 
-    Raises ValueError above the dense cap before allocating.
+    With the modes in parity order, 1, 3, 5, .. then 2, 4, .., the closed
+    forms are x = (L/2) I + [[0, B], [B^T, 0]] and p/i = [[0, Q], [-Q^T, 0]]:
+    every other entry is a parity zero.  Raises ValueError above the dense
+    cap before allocating.
     """
     _check_dense(cfg.N)
-    mats = [np.empty((cfg.N, cfg.N)) for _ in range(count)]
-    for lo, hi in _row_blocks(cfg.N):
-        for m, rows in zip(mats, _closed_form_rows(cfg, lo, hi)):
-            m[lo:hi] = rows
-    return mats
+    n = cfg.mode_numbers().astype(np.int64)
+    odd, even = n[0::2], n[1::2]
+    blocks = [np.empty((odd.size, even.size)) for _ in range(count)]
+    for lo, hi in _row_blocks(odd.size, even.size):
+        entries = _odd_entries(cfg, odd[lo:hi], even)
+        for block in blocks:
+            block[lo:hi] = next(entries)
+    return blocks
 
 
-def _real_product(op: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """op @ c for a real op and C-contiguous complex c, as one real product on the float view of c.
+def _parity_product(block: np.ndarray, c: np.ndarray, diagonal: float = 0.0, sign: float = 1.0) -> np.ndarray:
+    """M C for M = diagonal I + [[0, block], [sign block^T, 0]] in parity order and a C-contiguous complex C.
 
-    numpy would otherwise convert all of op to a complex copy.
+    Two half-size real products on the float view of C: numpy would otherwise copy the block to complex.
     """
-    return (op @ c.view(float)).view(complex)
+    h, f = block.shape[0], c.view(float)
+    out = np.empty_like(f)
+    np.matmul(block, f[h:], out=out[:h])
+    np.matmul(block.T, f[:h], out=out[h:])
+    if sign < 0:
+        np.negative(out[h:], out=out[h:])
+    if diagonal:
+        out += diagonal * f
+    return out.view(complex)
 
 
 def _moments(w: np.ndarray, c: np.ndarray):
@@ -315,10 +335,11 @@ def _moments(w: np.ndarray, c: np.ndarray):
 
 
 def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> np.ndarray:
-    """Delta x(t) at each time, from one product X C over the Schrodinger columns."""
-    (x,) = _real_closed_forms(cfg, 1)
-    _, c = _schrodinger_columns(state, cfg, times)
-    mean, second = _moments(_real_product(x, c), c)
+    """Delta x(t) at each time, from one product X C over the Schrodinger columns in parity order."""
+    order = np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]  # the parity order of _parity_blocks
+    (b,) = _parity_blocks(cfg, 1)
+    _, c = _schrodinger_columns(state, cfg, times, order)
+    mean, second = _moments(_parity_product(b, c, cfg.L / 2.0), c)
     return _std_from_moments(second, mean, "dx(t)")
 
 
@@ -328,8 +349,9 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
     <O>(t) = a^dagger O(t) a = C^dagger O C, so one product O @ C for x
     and p per block (`_moments`) replaces a phase matrix per sample, and
     the force needs only the two sums u^T C and v^T C (`_wall_force`).
-    x and p/i are real, so each product is one real GEMM (`_real_product`),
-    with p C = i (p/i) C.
+    The modes are held in parity order, so each product is two half-size
+    real GEMMs on the parity blocks (`_parity_product`), with
+    p C = i (p/i) C.
     """
     if state.dim != cfg.N:
         raise ValueError(f"state dimension {state.dim} does not match cfg.N={cfg.N}")
@@ -337,11 +359,13 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
         raise ValueError(
             f"series reports need steps >= 3 for second-order differences, got {grid.steps}"
         )
-    x, p_over_i = _real_closed_forms(cfg, 2)
+    order = np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]  # the parity order of _parity_blocks
+    b, q = _parity_blocks(cfg, 2)
     s, u, v = _wall_force(cfg)
+    u, v = u[order], v[order]
 
-    a = state.coeffs
-    u0 = _real_product(x, a[:, None])[:, 0]
+    a = state.coeffs[order]
+    u0 = _parity_product(b, a[:, None], cfg.L / 2.0)[:, 0]
     x0_mean = float(np.real(np.vdot(a, u0)))
     dx0 = float(_std_from_moments(float(np.real(np.vdot(u0, u0))), x0_mean, "dx(0)"))
 
@@ -350,10 +374,10 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
     f_means = np.empty(times.size)
     for lo in range(0, times.size, _SERIES_BLOCK):
         block = slice(lo, lo + _SERIES_BLOCK)
-        phase, c = _schrodinger_columns(state, cfg, times[block])
-        wx = _real_product(x, c)
+        phase, c = _schrodinger_columns(state, cfg, times[block], order)
+        wx = _parity_product(b, c, cfg.L / 2.0)
         x_mean, x_second = _moments(wx, c)
-        p_mean, p_second = _moments(1j * _real_product(p_over_i, c), c)
+        p_mean, p_second = _moments(1j * _parity_product(q, c, sign=-1.0), c)
         f_means[block] = -s * (np.abs(u @ c) ** 2 - np.abs(v @ c) ** 2)
         cols[block, 1] = x_mean
         cols[block, 2] = p_mean

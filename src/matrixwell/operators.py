@@ -20,8 +20,9 @@ from .well import WellConfig, _check_dense, eigen_energy
 # temporaries stay a small fraction of the matrix they fill.
 _ROW_BLOCK_ELEMENTS = 2**16
 
-# The evolve report's first chunk of phase groups at each sample; each next chunk doubles.
+# The evolve report's first chunk of phase groups (each next one doubles), and its time samples at a time.
 _FIRST_CHUNK = 256
+_SAMPLE_BLOCK = 2**12
 
 # The forward-difference steps of hamilton_derivative, strictly decreasing.
 _DERIVATIVE_STEPS = (0.5, 0.25, 0.125, 0.0625)
@@ -84,9 +85,9 @@ def _check_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _row_blocks(n: int) -> list:
-    """(lo, hi) ranges of rows of an n x n matrix, _ROW_BLOCK_ELEMENTS entries at a time."""
-    rows = max(1, _ROW_BLOCK_ELEMENTS // n)
+def _row_blocks(n: int, width: int | None = None) -> list:
+    """(lo, hi) ranges of rows of an n x width matrix (n x n by default), _ROW_BLOCK_ELEMENTS entries at a time."""
+    rows = max(1, _ROW_BLOCK_ELEMENTS // (width or n))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
@@ -101,22 +102,31 @@ def _position_offdiagonal(cfg: WellConfig, kl: np.ndarray, d: np.ndarray) -> np.
     return x
 
 
+def _odd_entries(cfg: WellConfig, k: np.ndarray, l: np.ndarray):
+    """x_kl, then (p/i)_kl, over int64 mode numbers k x l, every k + l odd (well.position_element).
+
+    Yielded one at a time, so p/i is formed only when asked for, after x is stored.  Integer
+    k l and k^2 - l^2 make x exactly symmetric and p/i exactly antisymmetric.
+    """
+    kl = np.multiply.outer(k, l).astype(float)  # exact below 2^53
+    d = np.subtract.outer(k * k, l * l)
+    yield _position_offdiagonal(cfg, kl, d)
+    yield kl * (4.0 * cfg.hbar) / (cfg.L * -d)
+
+
 def _closed_form_rows(cfg: WellConfig, lo: int, hi: int):
     """Rows lo .. hi-1 of x and of p/i as real arrays (well.position_element, momentum_element).
 
     Only the off-diagonal entries with k + l odd, a stride-2 slice of each row,
-    are formed; the others stay exact zeros.  Integer k l and k^2 - l^2 make x
-    exactly symmetric and p/i exactly antisymmetric.
+    are formed (`_odd_entries`); the others stay exact zeros.
     """
     n = cfg.mode_numbers().astype(np.int64)
     x, p_over_i = np.zeros((hi - lo, cfg.N)), np.zeros((hi - lo, cfg.N))
     for first in (lo, lo + 1):  # the rows of one parity, then those of the other
         rows, cols = slice(first - lo, None, 2), slice((first + 1) % 2, None, 2)
-        k, l = n[first:hi:2], n[cols]
-        kl = np.multiply.outer(k, l).astype(float)  # exact below 2^53
-        d = np.subtract.outer(k * k, l * l)
-        x[rows, cols] = _position_offdiagonal(cfg, kl, d)
-        p_over_i[rows, cols] = kl * (4.0 * cfg.hbar) / (cfg.L * -d)
+        entries = _odd_entries(cfg, n[first:hi:2], n[cols])
+        x[rows, cols] = next(entries)
+        p_over_i[rows, cols] = next(entries)
     x[np.arange(hi - lo), np.arange(lo, hi)] = cfg.L / 2.0
     return x, p_over_i
 
@@ -178,19 +188,28 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
 
 
 def _position_phase_groups(cfg: WellConfig):
-    """The distinct |k^2 - l^2| over k < l, k + l odd, each with its largest |x_kl|, largest first."""
-    parity = cfg.mode_numbers() % 2
-    k, l = np.nonzero(np.triu(np.not_equal.outer(parity, parity)))
-    k += 1
-    l += 1
-    d = l * l - k * k  # x takes its square, so the sign does not matter
-    x = _position_offdiagonal(cfg, (k * l).astype(float), d)
-    order = np.argsort(d)
-    d, x = d[order], x[order]
-    starts = np.flatnonzero(np.diff(d, prepend=0))
-    peak = np.maximum.reduceat(np.abs(x), starts)
+    """The distinct |k^2 - l^2| over k < l, k + l odd, each with its largest |x_kl|, largest first.
+
+    Such a pair is a = l - k and b = l + k, both odd, a < b <= 2N - a, and |k^2 - l^2| = ab.
+    For one ab, k l = (b^2 - a^2)/4 falls as a rises and |x_kl| rounds monotonically in k l,
+    so a group's peak is at its smallest a, found over a table indexed by (ab - 1)/2.
+    """
+    n = cfg.N
+    odd = np.arange(1, 2 * n, 2, dtype=np.int32)
+    a_all, b = odd[: n // 2], odd[1:]
+    smallest = np.full(n * n // 2, n, dtype=np.uint16)  # n: no pair has this ab
+    for lo, hi in _row_blocks(a_all.size, b.size):
+        a = a_all[lo:hi, None]
+        pairs = (a < b) & (b <= 2 * n - a)
+        np.minimum.at(smallest, (a * b)[pairs] >> 1, np.broadcast_to(a, pairs.shape)[pairs].astype(np.uint16))
+    d = np.flatnonzero(smallest < n)
+    a = smallest[d].astype(np.int64)
+    del smallest
+    d = 2 * d + 1
+    b = d // a
+    peak = -_position_offdiagonal(cfg, ((b - a) * (b + a) >> 2).astype(float), d)
     order = np.argsort(peak)[::-1]
-    return d[starts][order], peak[order]
+    return d[order], peak[order]
 
 
 def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray:
@@ -207,29 +226,43 @@ def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray
     * |x_kl (e - 1)| is the same for e and conj(e), and grows with |x_kl|
       (entries of a group differ by at least 1/N^2 relative, far above
       rounding), so the largest change is that of a group's largest
-      entry, formed as evolve's x e - x;
-    * a group's change is at most 2 peak, and 2 peak (1 + 8 eps) bounds its
-      rounded value.  The groups are taken largest peak first, in chunks
-      that double from _FIRST_CHUNK, until the next bound falls below the
-      largest change found: no group after it can set the maximum.
-      Samples at 0 and t_r, where every change is rounding, still see
-      every group, in O(log G) chunks;
+      entry p, formed as evolve's x e - x;
+    * the groups are taken largest p first, in chunks that double from
+      _FIRST_CHUNK up to _ROW_BLOCK_ELEMENTS, for all open samples at once,
+      and a sample closes once a bound on every later change is at most its
+      largest change so far.  A change is 2 p |sin(theta/2)|, theta = |d w t|:
+      at most 2 p, 2 p (1 + 8 eps) once rounded, and at most p theta.  With
+      cos and sin rounded within an ulp, p e - p rounds to at most
+      p (theta + 3 eps / 2)(1 + 2 eps), and theta and p |d| round once each.
+      So min(2 p, |w t| S + 2 eps p)(1 + 8 eps), at the next group's p and
+      the largest p |d| from it on, S, bounds every later change, its own
+      rounding included.  Samples at w t = 0, where every change is exactly
+      0, close before any group; samples at t_r, where every change is
+      rounding, see every group, in O(log G) chunks;
     * every phase is unimodular and pairs with its conjugate, so the
       Frobenius drift and the Hermiticity defect are exactly 0.
+
+    A chunk takes as many open samples at a time as keep its work arrays
+    within _ROW_BLOCK_ELEMENTS entries, from _SAMPLE_BLOCK samples at a time.
     """
     _check_dense(cfg.N)
     exponents, peak = _position_phase_groups(cfg)
-    bound = 2.0 * peak * (1.0 + 8.0 * np.finfo(float).eps)
+    reach = np.maximum.accumulate((peak * exponents)[::-1])[::-1]  # S from each group on
+    eps = np.finfo(float).eps
     out = np.zeros((3, len(times)))
-    for i, t in enumerate(times):
-        wt = cfg.base_frequency * float(t)
-        lo, size, change = 0, _FIRST_CHUNK, 0.0
-        while lo < len(peak) and not bound[lo] < change:
+    for start in range(0, len(times), _SAMPLE_BLOCK):
+        wt = cfg.base_frequency * np.asarray(times[start : start + _SAMPLE_BLOCK], dtype=float)
+        change = out[0, start : start + _SAMPLE_BLOCK]
+        live, lo, size = np.flatnonzero(wt), 0, _FIRST_CHUNK
+        while live.size and lo < len(peak):
+            rest = np.minimum(2.0 * peak[lo], np.abs(wt[live]) * reach[lo] + 2.0 * eps * peak[lo])
+            live = live[rest * (1.0 + 8.0 * eps) > change[live]]
             g = slice(lo, lo + size)
-            phase = np.exp(1j * (exponents[g] * wt))
-            change = max(change, np.abs(peak[g] * phase - peak[g]).max())
-            lo, size = lo + size, 2 * size
-        out[0, i] = change
+            rows = max(1, _ROW_BLOCK_ELEMENTS // len(peak[g]))
+            for i in np.split(live, range(rows, live.size, rows)):
+                phase = np.exp(1j * (exponents[g] * wt[i, None]))
+                change[i] = np.maximum(change[i], np.abs(peak[g] * phase - peak[g]).max(axis=1))
+            lo, size = lo + size, min(2 * size, _ROW_BLOCK_ELEMENTS)
     return out
 
 

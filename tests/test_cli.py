@@ -599,6 +599,15 @@ class TestFailureModes:
         assert diag["field"] == "state"
         assert expect in diag["error"]
 
+    @pytest.mark.parametrize("n, spacing", [(50, "0.015625"), (200, "0.005")])
+    def test_packet_too_narrow_for_every_node_names_its_width(self, n, spacing, capsys):
+        """Every quadrature node lies many widths from the centre, so every sample is 0: the
+        refusal names the width against the rule's panel spacing L / max(64, N)."""
+        assert main(["spread", "--N", str(n), "--state", "gaussian:center=0.5,width=1e-10"]) == 2
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["field"] == "state"
+        assert f"width 1e-10 lies far below the rule's panel spacing L / max(64, N) = {spacing}" in diag["error"]
+
     @pytest.mark.parametrize("scenario", ["spread", "ehrenfest"])
     def test_two_steps_refused_for_series(self, scenario, capsys):
         code = run_cli([scenario, "--N", "20", "--state", "eigen:1", "--steps", "2"])

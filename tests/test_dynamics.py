@@ -350,7 +350,7 @@ class TestSpreadReport:
 
 
 class TestSeriesFootprint:
-    """The series engine holds the real x and p/i, half a dense complex matrix each."""
+    """The series engine holds the parity blocks B and Q of x and p/i, an eighth of a dense complex matrix each."""
 
     DENSE = 16 * 1024**2  # one dense complex 1024 x 1024 matrix
 
@@ -363,16 +363,16 @@ class TestSeriesFootprint:
             tracemalloc.stop()
 
     def test_spread_report_at_n_1024(self):
-        """1.19 dense complex matrices; the complex x and p peaked at 2.20."""
+        """0.44 dense complex matrices; the real x and p/i peaked at 1.19, the complex x and p at 2.20."""
         cfg = WellConfig(N=1024)
         grid = TimeGrid(0.0, 0.1 * revival_time(cfg), 65)
-        assert self._peak(lambda: spread_report(two_mode_state(cfg.N), cfg, grid)) <= 1.3
+        assert self._peak(lambda: spread_report(two_mode_state(cfg.N), cfg, grid)) <= 0.6
 
     def test_position_spread_at_n_1024(self):
-        """0.64 dense complex matrices; the complex x peaked at 1.11."""
+        """0.29 dense complex matrices; the real x peaked at 0.64, the complex x at 1.11."""
         cfg = WellConfig(N=1024)
         times = np.array([0.0, revival_time(cfg)])
-        assert self._peak(lambda: _position_spread(two_mode_state(cfg.N), cfg, times)) <= 0.75
+        assert self._peak(lambda: _position_spread(two_mode_state(cfg.N), cfg, times)) <= 0.4
 
 
 class TestShortTimeExpansion:

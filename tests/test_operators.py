@@ -254,6 +254,46 @@ class TestEvolve:
         groups = len(_position_phase_groups(cfg)[0])
         assert 0 < sum(sizes) <= 0.1 * groups * len(interior)
 
+    def test_evolve_report_near_zero_exponentiates_few_groups(self):
+        """On [0, 1e-6 t_r] at N = 200, T = 101 every change is at most p theta, far below 2 p, so
+        the bound min(2 p, |w t| S) closes each sample after at most 10 % of the phase groups
+        (with 2 p alone, 59 %); at t = 0 no group reaches np.exp."""
+        cfg = WellConfig(N=200)
+        times = np.linspace(0.0, 1e-6 * revival_time(cfg), 101)
+        real_exp, sizes = np.exp, []
+
+        def counting_exp(z, *args, **kwargs):
+            sizes.append(np.shape(z))
+            return real_exp(z, *args, **kwargs)
+
+        with mock.patch.object(np, "exp", counting_exp):
+            _position_evolution_checks(cfg, times[:1])
+            assert sizes == []
+            _position_evolution_checks(cfg, times)
+        groups = len(_position_phase_groups(cfg)[0])
+        assert 0 < sum(map(np.prod, sizes)) <= 0.1 * groups * len(times)
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_phase_groups_peak_at_n_1024(self):
+        """0.56 dense complex matrices; the N x N parity mask and the sort of every exponent took 0.91."""
+        peak, _ = self._peak(lambda: _position_phase_groups(WellConfig(N=1024)))
+        assert peak <= 0.91 * 16 * 1024**2
+
+    def test_evolve_report_footprint_at_a_million_samples(self):
+        """The samples are taken in blocks and a chunk in batches, so no work array grows with T:
+        at N = 8 and 10^6 samples the peak stays within 4 MiB of the 3 x T report itself."""
+        cfg = WellConfig(N=8)
+        times = np.linspace(0.0, 3.0 * revival_time(cfg), 10**6)
+        peak, out = self._peak(lambda: _position_evolution_checks(cfg, times))
+        assert peak <= out.nbytes + 4 * 2**20
+
 
 class TestCommutator:
     def test_self_commutators_vanish(self, cfg):

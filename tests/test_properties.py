@@ -5,7 +5,9 @@ bit against the whole-matrix report, and its trace against the paired
 sum at scales over 1e+-300), the phase-exponent groups of the
 `evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 300
 bit for bit against both phases of every group, whatever the first chunk
-of the stop rule), the panel-factorised sine
+of the stop rule and on grids near t = 0, and N <= 600 bit for bit against
+the mask-and-sort groups), the parity blocks of the series engine (N <= 300
+bit for bit against the closed-form rows), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
 force, the fractional revivals at t_r/4 and at random coprime p/q t_r with
 q <= 12 (phases and position space), and parity selection.
@@ -45,8 +47,8 @@ from matrixwell import (
 
 from matrixwell import operators
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
-from matrixwell.dynamics import _position_spread, _schrodinger_columns
-from matrixwell.operators import _position_evolution_checks
+from matrixwell.dynamics import _parity_blocks, _position_spread, _schrodinger_columns
+from matrixwell.operators import _closed_form_rows, _position_evolution_checks
 from oracles import (
     dense_check_algebra,
     dense_commutator_report,
@@ -57,6 +59,7 @@ from oracles import (
     direct_sine_coefficients,
     heisenberg_series,
     product_commutator_report,
+    sorted_phase_groups,
     two_phase_evolution_checks,
 )
 
@@ -326,6 +329,62 @@ def test_evolve_stop_rule_at_chunk_edges(scales, n, first, last, per_quarter):
         with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
             got = _position_evolution_checks(cfg, times)[0]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+    st.integers(2, 300),
+    st.floats(-14.0, -1.0),
+    st.integers(2, 40),
+    st.booleans(),
+)
+def test_evolve_checks_near_zero_match_two_phase_loop_bitwise(scales, n, decade, steps, mirrored):
+    """Near t = 0, where a change is about p |d| omega_1 t, the bound min(2 p, |w t| S + 2 eps p)
+    closes samples after few groups; the largest change is still the all-groups loop's bit for bit,
+    with a first chunk of one group (a check after every group) and of the default size, on grids
+    from 0 (or from -t_end) to t_end = 10^decade t_r."""
+    L, m, hbar = scales
+    cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
+    t_end = 10.0**decade * revival_time(cfg)
+    times = np.linspace(-t_end if mirrored else 0.0, t_end, steps)
+    want = two_phase_evolution_checks(cfg, times)[0]
+    for chunk in (1, operators._FIRST_CHUNK):
+        with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
+            got = _position_evolution_checks(cfg, times)[0]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@PROPERTY
+@given(st.floats(-12.0, 3.0).map(lambda e: 10.0**e), st.integers(2, 600))
+@example(1e-9, 517)  # a nanometre well, a few groups tied in peak
+def test_phase_groups_match_mask_and_sort_bitwise(L, n):
+    """The groups from the divisor structure |k^2 - l^2| = (l - k)(l + k), each peak at its
+    smallest l - k, are those of the N x N parity mask and the sort of every exponent bit for bit:
+    the same exponents, peaks and order, ties included.  Only L scales the peaks."""
+    cfg = WellConfig(L=L, N=n)
+    got, want = operators._position_phase_groups(cfg), sorted_phase_groups(cfg)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+
+@PROPERTY
+@given(st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3), st.integers(2, 300))
+def test_parity_blocks_hold_every_nonzero_off_diagonal_entry(scales, n):
+    """B = x[odd, even] and Q = (p/i)[odd, even] are the entries of `_closed_form_rows` bit for
+    bit, with or without Q; the [even, odd] blocks are exactly B^T and -Q^T, and every other entry
+    off the diagonal is an exact +0.0."""
+    L, m, hbar = scales
+    cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
+    full = _closed_form_rows(cfg, 0, n)
+    blocks = _parity_blocks(cfg, 2)
+    odd, even = np.arange(0, n, 2), np.arange(1, n, 2)
+    same_parity = np.equal.outer(np.arange(n) % 2, np.arange(n) % 2) & ~np.eye(n, dtype=bool)
+    for matrix, block, sign in zip(full, blocks, (1.0, -1.0)):
+        np.testing.assert_array_equal(matrix[np.ix_(odd, even)].view(np.uint64), block.view(np.uint64))
+        np.testing.assert_array_equal(matrix[np.ix_(even, odd)].view(np.uint64), (sign * block.T).view(np.uint64))
+        assert np.all(matrix[same_parity].view(np.uint64) == 0)
+    np.testing.assert_array_equal(_parity_blocks(cfg, 1)[0].view(np.uint64), blocks[0].view(np.uint64))
 
 
 @PROPERTY
