@@ -16,14 +16,15 @@ import numpy as np
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
     OperatorMatrix,
-    _odd_entries,
+    _momentum_offdiagonal,
+    _position_offdiagonal,
     _row_blocks,
     build_momentum,
     build_position,
     commutator,
     evolve,
 )
-from .well import _GL_MIN_PANELS, WellConfig, _check_dense, sine_coefficients
+from .well import WellConfig, _check_dense, _panel_layout, sine_coefficients
 
 # Time samples per block of Schrodinger columns: bounds the N x block work
 # arrays while keeping each operator product a matrix-matrix product.
@@ -206,9 +207,8 @@ def gaussian_packet(cfg: WellConfig, center: float, width: float, mean_momentum:
         with np.errstate(over="ignore"):  # a quotient past the float range is the exact limit: exp(-inf) = 0
             samples = np.exp(-((x - center) ** 2) / four_var + 1j * k0 * x)
         if not samples.any():
-            spacing = cfg.L / max(_GL_MIN_PANELS, cfg.N)
-            raise ValueError(f"packet has zero norm at every quadrature node: its width {width!r} lies far"
-                             f" below the rule's panel spacing L / max({_GL_MIN_PANELS}, N) = {spacing!r}")
+            raise ValueError(f"packet has zero norm at every quadrature node: its width {width!r} lies"
+                             f" far below the rule's panel spacing {_panel_layout(cfg)[1]!r}")
         return samples
 
     return project_wavefunction(cfg, packet)
@@ -281,34 +281,40 @@ def xt_x0_commutator(cfg: WellConfig, t: float) -> OperatorMatrix:
     return commutator(evolve(x, cfg, t), x)
 
 
-def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray, modes=slice(None)):
-    """Phases exp(-i n^2 omega_1 t) and columns C = a exp(-i n^2 omega_1 t), one per time.
+def _parity_order(cfg: WellConfig) -> np.ndarray:
+    """Indices of the modes in parity order, n = 1, 3, 5, .. then 2, 4, ..; the series engine's row order."""
+    return np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]
 
-    Rows are the modes that `modes` indexes, in its order (all, ascending,
-    by default).  The phase is the integer n^2 times the one float
-    omega_1 t, which lands on multiples of 2 pi at the revival time.
+
+def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray):
+    """Phases exp(-i n^2 omega_1 t) and columns C = a exp(-i n^2 omega_1 t), one per time, in parity order.
+
+    The phase is the integer n^2 times the one float omega_1 t, which lands
+    on multiples of 2 pi at the revival time.
     """
-    n2 = cfg.mode_numbers()[modes] ** 2
+    order = _parity_order(cfg)
+    n2 = cfg.mode_numbers()[order] ** 2
     phase = np.exp(-1j * (n2[:, None] * (cfg.base_frequency * times[None, :])))
-    return phase, state.coeffs[modes][:, None] * phase
+    return phase, state.coeffs[order][:, None] * phase
 
 
 def _parity_blocks(cfg: WellConfig, count: int) -> list:
     """B = x[odd, even] and, for count 2, Q = (p/i)[odd, even], a block of rows at a time.
 
-    With the modes in parity order, 1, 3, 5, .. then 2, 4, .., the closed
-    forms are x = (L/2) I + [[0, B], [B^T, 0]] and p/i = [[0, Q], [-Q^T, 0]]:
-    every other entry is a parity zero.  Raises ValueError above the dense
-    cap before allocating.
+    In parity order the closed forms are x = (L/2) I + [[0, B], [B^T, 0]]
+    and p/i = [[0, Q], [-Q^T, 0]]: every other entry is a parity zero.
+    Raises ValueError above the dense cap before allocating.
     """
     _check_dense(cfg.N)
-    n = cfg.mode_numbers().astype(np.int64)
-    odd, even = n[0::2], n[1::2]
+    n = cfg.mode_numbers().astype(np.int64)[_parity_order(cfg)]
+    odd, even = np.split(n, [(cfg.N + 1) // 2])
     blocks = [np.empty((odd.size, even.size)) for _ in range(count)]
     for lo, hi in _row_blocks(odd.size, even.size):
-        entries = _odd_entries(cfg, odd[lo:hi], even)
-        for block in blocks:
-            block[lo:hi] = next(entries)
+        kl = np.multiply.outer(odd[lo:hi], even).astype(float)  # exact below 2^53
+        d = np.subtract.outer(odd[lo:hi] ** 2, even**2)
+        blocks[0][lo:hi] = _position_offdiagonal(cfg, kl, d)
+        if count == 2:
+            blocks[1][lo:hi] = _momentum_offdiagonal(cfg, kl, d)
     return blocks
 
 
@@ -335,10 +341,9 @@ def _moments(w: np.ndarray, c: np.ndarray):
 
 
 def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> np.ndarray:
-    """Delta x(t) at each time, from one product X C over the Schrodinger columns in parity order."""
-    order = np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]  # the parity order of _parity_blocks
+    """Delta x(t) at each time, from one product X C over the Schrodinger columns."""
     (b,) = _parity_blocks(cfg, 1)
-    _, c = _schrodinger_columns(state, cfg, times, order)
+    _, c = _schrodinger_columns(state, cfg, times)
     mean, second = _moments(_parity_product(b, c, cfg.L / 2.0), c)
     return _std_from_moments(second, mean, "dx(t)")
 
@@ -359,7 +364,7 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
         raise ValueError(
             f"series reports need steps >= 3 for second-order differences, got {grid.steps}"
         )
-    order = np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]  # the parity order of _parity_blocks
+    order = _parity_order(cfg)
     b, q = _parity_blocks(cfg, 2)
     s, u, v = _wall_force(cfg)
     u, v = u[order], v[order]
@@ -374,7 +379,7 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
     f_means = np.empty(times.size)
     for lo in range(0, times.size, _SERIES_BLOCK):
         block = slice(lo, lo + _SERIES_BLOCK)
-        phase, c = _schrodinger_columns(state, cfg, times[block], order)
+        phase, c = _schrodinger_columns(state, cfg, times[block])
         wx = _parity_product(b, c, cfg.L / 2.0)
         x_mean, x_second = _moments(wx, c)
         p_mean, p_second = _moments(1j * _parity_product(q, c, sign=-1.0), c)

@@ -102,31 +102,27 @@ def _position_offdiagonal(cfg: WellConfig, kl: np.ndarray, d: np.ndarray) -> np.
     return x
 
 
-def _odd_entries(cfg: WellConfig, k: np.ndarray, l: np.ndarray):
-    """x_kl, then (p/i)_kl, over int64 mode numbers k x l, every k + l odd (well.position_element).
-
-    Yielded one at a time, so p/i is formed only when asked for, after x is stored.  Integer
-    k l and k^2 - l^2 make x exactly symmetric and p/i exactly antisymmetric.
-    """
-    kl = np.multiply.outer(k, l).astype(float)  # exact below 2^53
-    d = np.subtract.outer(k * k, l * l)
-    yield _position_offdiagonal(cfg, kl, d)
-    yield kl * (4.0 * cfg.hbar) / (cfg.L * -d)
+def _momentum_offdiagonal(cfg: WellConfig, kl: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(p/i)_kl = 4 hbar k l / (L (l^2 - k^2)) for k + l odd (well.momentum_element)."""
+    return kl * (4.0 * cfg.hbar) / (cfg.L * -d)
 
 
 def _closed_form_rows(cfg: WellConfig, lo: int, hi: int):
     """Rows lo .. hi-1 of x and of p/i as real arrays (well.position_element, momentum_element).
 
     Only the off-diagonal entries with k + l odd, a stride-2 slice of each row,
-    are formed (`_odd_entries`); the others stay exact zeros.
+    are formed; the others stay exact zeros.  Integer k l and k^2 - l^2 make x
+    exactly symmetric and p/i exactly antisymmetric.
     """
     n = cfg.mode_numbers().astype(np.int64)
     x, p_over_i = np.zeros((hi - lo, cfg.N)), np.zeros((hi - lo, cfg.N))
     for first in (lo, lo + 1):  # the rows of one parity, then those of the other
         rows, cols = slice(first - lo, None, 2), slice((first + 1) % 2, None, 2)
-        entries = _odd_entries(cfg, n[first:hi:2], n[cols])
-        x[rows, cols] = next(entries)
-        p_over_i[rows, cols] = next(entries)
+        k, l = n[first:hi:2], n[cols]
+        kl = np.multiply.outer(k, l).astype(float)  # exact below 2^53
+        d = np.subtract.outer(k * k, l * l)
+        x[rows, cols] = _position_offdiagonal(cfg, kl, d)
+        p_over_i[rows, cols] = _momentum_offdiagonal(cfg, kl, d)
     x[np.arange(hi - lo), np.arange(lo, hi)] = cfg.L / 2.0
     return x, p_over_i
 
@@ -202,10 +198,9 @@ def _position_phase_groups(cfg: WellConfig):
         a = a_all[lo:hi, None]
         pairs = (a < b) & (b <= 2 * n - a)
         np.minimum.at(smallest, (a * b)[pairs] >> 1, np.broadcast_to(a, pairs.shape)[pairs].astype(np.uint16))
-    d = np.flatnonzero(smallest < n)
-    a = smallest[d].astype(np.int64)
+    d = 2 * np.flatnonzero(smallest < n) + 1
+    a = smallest[d >> 1].astype(np.int64)
     del smallest
-    d = 2 * d + 1
     b = d // a
     peak = -_position_offdiagonal(cfg, ((b - a) * (b + a) >> 2).astype(float), d)
     order = np.argsort(peak)[::-1]

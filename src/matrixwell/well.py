@@ -112,6 +112,12 @@ def eigenfunction(cfg: WellConfig, n: int, x):
     return float(out) if np.isscalar(x) else out
 
 
+def _panel_layout(cfg: WellConfig) -> tuple[int, float]:
+    """The rule's panel count, max(64, N), and its panel width h = L / panels."""
+    panels = max(_GL_MIN_PANELS, cfg.N)
+    return panels, cfg.L / panels
+
+
 def _panel_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
     """The rule of `quadrature_rule` by panel.
 
@@ -121,8 +127,7 @@ def _panel_rule(cfg: WellConfig) -> tuple[np.ndarray, np.ndarray]:
     half = np.array(_GL_HALF_NODES)
     nodes = np.concatenate([-half[::-1], half])
     weights = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
-    panels = max(_GL_MIN_PANELS, cfg.N)
-    h = cfg.L / panels
+    panels, h = _panel_layout(cfg)
     return np.arange(panels)[:, None] * h + (nodes + 1.0) * (h / 2.0), weights * (h / 2.0)
 
 

@@ -47,7 +47,7 @@ from matrixwell import (
 
 from matrixwell import operators
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
-from matrixwell.dynamics import _parity_blocks, _position_spread, _schrodinger_columns
+from matrixwell.dynamics import _parity_blocks, _parity_order, _position_spread, _schrodinger_columns
 from matrixwell.operators import _closed_form_rows, _position_evolution_checks
 from oracles import (
     dense_check_algebra,
@@ -505,7 +505,7 @@ def test_fractional_revival_phases_reduce_mod_q(scales, n, fraction):
     scaled by n^2 <= N^2: the two agree within 4 N^2 eps theta radians, theta = 2 pi p/q."""
     (L, m, hbar), (p, q) = scales, fraction
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
-    k = cfg.mode_numbers()
+    k = cfg.mode_numbers()[_parity_order(cfg)]  # the engine's row order
     phase, _ = _schrodinger_columns(StateVector.eigenstate(1, n), cfg, np.array([p / q * revival_time(cfg)]))
     exact = np.exp(-2j * np.pi * ((p * k * k) % q) / q)
     theta = 2 * np.pi * p / q
@@ -526,7 +526,8 @@ def test_fractional_revival_is_a_sum_of_shifted_copies(drawn, fraction, data):
     (cfg, state), (p, q) = drawn, fraction
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.uniform(0.0, cfg.L, 16)
-    n, a = cfg.mode_numbers(), state.coeffs
+    order = _parity_order(cfg)  # the engine's row order
+    n, a = cfg.mode_numbers()[order], state.coeffs[order]
 
     def sine_series(y, coeffs):
         return np.sqrt(2.0 / cfg.L) * np.sin(np.multiply.outer(y, n) * (np.pi / cfg.L)) @ coeffs
