@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,8 @@ from .fock import (
 )
 from .operators import (
     InteriorBlockSpec,
-    _closed_form_rows,
+    _natural_order,
+    _parity_blocks,
     _position_evolution_checks,
     canonical_commutator_report,
 )
@@ -62,6 +63,8 @@ SCENARIOS = (
 )
 FOCK = ("fock-density", "fock-algebra")
 GRID = ("evolve", "spread", "ehrenfest")
+WELL = tuple(s for s in SCENARIOS if s != "fock-algebra")  # fock-algebra's report depends on its basis alone
+DENSE = tuple(s for s in SCENARIOS if s not in FOCK)  # the scenarios that read N
 _EVOLVE_COLUMNS = ("t", "max_change_from_start", "frobenius_drift", "hermiticity_defect")
 _DENSITY_COLUMNS = ("x", "density")
 # The largest N^2 ulp(omega_1 |t|) a grid end may give, in radians.  Against 60-digit phases, the
@@ -96,10 +99,10 @@ class Option:
 
 
 OPTIONS = (
-    Option("L", float, 1.0, SCENARIOS, "well width", notice=True),
-    Option("m", float, 1.0, SCENARIOS, "particle mass", notice=True),
-    Option("hbar", float, 1.0, SCENARIOS, "action quantum", notice=True),
-    Option("N", int, 100, SCENARIOS, "truncation dimension", notice=True),
+    Option("L", float, 1.0, WELL, "well width", notice=True),
+    Option("m", float, 1.0, WELL, "particle mass", notice=True),
+    Option("hbar", float, 1.0, WELL, "action quantum", notice=True),
+    Option("N", int, 100, DENSE, "truncation dimension", notice=True),
     Option("t-start", float, 0.0, GRID, "grid start"),
     Option("t-end", float, None, GRID, "grid end; default one revival period"),
     Option("steps", int, 101, GRID, "grid points; spread and ehrenfest need at least 3"),
@@ -128,15 +131,20 @@ class RunConfig:
     `options` maps the key of every option the scenario reads to its value,
     with t-end, block and revival's state worked out and the cutoff forced
     to 1 for fermions.
-    `grid` is None for the scenarios outside GRID.  `echo` is the `config`
-    object of a JSON report.
+    `well` is None for fock-algebra, and fock-density's has N = max(2, M).
+    `grid` is None for the scenarios outside GRID.
     """
 
-    well: WellConfig
+    well: WellConfig | None
     scenario: str
     grid: TimeGrid | None
     options: dict
-    echo: dict
+
+    @property
+    def echo(self) -> dict:
+        """The `config` object of a JSON report; the output path is left out so that it cannot change the bytes."""
+        options = {key.replace("-", "_"): x for key, x in self.options.items() if x is not None and key != "out"}
+        return {"scenario": self.scenario, **options}
 
 
 def _convert(opt: Option, raw: str):
@@ -209,7 +217,8 @@ def _require(v: dict, key: str, ok, rule: str) -> None:
 def _require_range(v: dict, key: str, magnitudes: dict, low: float) -> None:
     """The one range rule: refuse, naming `key`, any magnitude outside (low, inf)."""
     bad = [name for name, x in magnitudes.items() if not low < x < math.inf]
-    _require(v, key, not bad, f"puts {' and '.join(bad)} out of floating-point range at N={v['N']}")
+    size = f"N={v['N']}" if "N" in v else f"M={v['modes']}"
+    _require(v, key, not bad, f"puts {' and '.join(bad)} out of floating-point range at {size}")
 
 
 def parse_config(argv) -> RunConfig:
@@ -224,12 +233,12 @@ def parse_config(argv) -> RunConfig:
                 log.info("%s not specified; defaulting to %s", opt.key, opt.default)
             v[opt.key] = given.get(opt.key, opt.default)
 
-    scales = ("L", "m", "hbar")
+    scales = ("L", "m", "hbar") if scenario in WELL else ()
     for key in scales:
         _require(v, key, 0 < v[key] < math.inf, "must be positive and finite")
     # sizes first, in exact integers: every magnitude below is formed from checked sizes
-    _require(v, "N", v["N"] >= 2, "must be at least 2")
-    if scenario not in FOCK:
+    if scenario in DENSE:
+        _require(v, "N", v["N"] >= 2, "must be at least 2")
         try:
             _check_dense(v["N"])
         except ValueError as e:
@@ -250,7 +259,7 @@ def parse_config(argv) -> RunConfig:
     if scenario in FOCK:
         if v["statistics"] == "fermion":
             v["cutoff"] = 1
-        _require(v, "modes", 1 <= v["modes"] <= v["N"], f"must be in 1..N = {v['N']}")
+        _require(v, "modes", v["modes"] >= 1, "must be at least 1")
         _require(v, "cutoff", v["cutoff"] >= 1, "must be at least 1")
         try:
             _fock_basis(v)
@@ -263,8 +272,10 @@ def parse_config(argv) -> RunConfig:
         most = v["cutoff"] if v["statistics"] == "boson" else v["modes"]
         _require(v, "particles", 0 <= v["particles"] <= most, f"must be in 0..{most} for {v['statistics']}s")
         _require(v, "positions", v["positions"] >= 2, "must be at least 2")
-    well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"])
-    # exact, as N <= 4096 past the dense cap; a Fock run evolves only its M <= 15 modes
+    if scenario not in WELL:
+        return RunConfig(well=None, scenario=scenario, grid=None, options=v)
+    # exact, as N <= 4096 past the dense cap; a Fock density evolves only its M <= 15 modes
+    well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"] if scenario in DENSE else max(2, v["modes"]))
     n, dim = (float(v["modes"]), "M") if scenario in FOCK else (float(well.N), "N")
     with np.errstate(all="ignore"):  # a magnitude out of range reads as 0 or inf
         w = WellConfig(*(np.float64(v[key]) for key in scales), N=well.N)
@@ -310,11 +321,7 @@ def parse_config(argv) -> RunConfig:
         _require(v, "state", v["state"], f"is required by {scenario}")
     if scenario == "revival" and v["state"] is None:
         v["state"] = f"gaussian:center={well.L / 2.0!r},width={well.L / 20.0!r}"
-
-    # the output path is left out so that it cannot change the report's bytes
-    echo = {"scenario": scenario}
-    echo.update((key.replace("-", "_"), x) for key, x in v.items() if x is not None and key != "out")
-    return RunConfig(well=well, scenario=scenario, grid=grid, options=v, echo=echo)
+    return RunConfig(well=well, scenario=scenario, grid=grid, options=v)
 
 
 def _check_below_edge(modes, n_dim: int) -> None:
@@ -380,7 +387,9 @@ def _one_row(row: dict, diagnostics: dict):
 
 def _run_elements(rc: RunConfig):
     n = rc.well.N
-    x, p_over_i = _closed_form_rows(rc.well, 0, n)
+    b, q = _parity_blocks(rc.well, "x", "p/i")
+    x, p_over_i = _natural_order(b, 1.0, np.zeros((n, n))), _natural_order(q, -1.0, np.zeros((n, n)))
+    np.fill_diagonal(x, rc.well.L / 2.0)
     k = np.repeat(np.arange(1, n + 1), n)
     l = np.tile(np.arange(1, n + 1), n)
     columns = [k, l, x.ravel(), np.zeros(n * n), p_over_i.ravel()]  # p is imaginary
@@ -440,11 +449,9 @@ def _run_fock_density(rc: RunConfig):
     t = rc.options["t"]
     xs = np.linspace(0.0, cfg.L, rc.options["positions"])
     density = density_expectation(state, cfg, basis, xs, t)
-    # exact to rounding: the density is a trigonometric polynomial of degree 2M, so
-    # the rule for M modes suffices whatever N is
-    rule_cfg = replace(cfg, N=max(2, basis.modes))
-    nodes, weights = quadrature_rule(rule_cfg)
-    total = weights @ density_expectation(state, rule_cfg, basis, nodes, t)
+    # exact to rounding: the density is a trigonometric polynomial of degree 2M, and cfg.N = max(2, M)
+    nodes, weights = quadrature_rule(cfg)
+    total = weights @ density_expectation(state, cfg, basis, nodes, t)
     diag = {"particle_number": rc.options["particles"], "density_integral": float(total)}
     return list(_DENSITY_COLUMNS), [xs, density], diag
 

@@ -16,9 +16,8 @@ import numpy as np
 from .errors import InvariantViolation, ProjectionError
 from .operators import (
     OperatorMatrix,
-    _momentum_offdiagonal,
-    _position_offdiagonal,
-    _row_blocks,
+    _parity_blocks,
+    _parity_order,
     build_momentum,
     build_position,
     commutator,
@@ -100,8 +99,8 @@ class RunReport:
     robertson_bound = |<[x(t), x(0)]>| / 2, free_particle_bound = hbar |t| / 2m,
     residual_x = |d<x>/dt - <p>/m|, residual_p = |d<p>/dt + <dV/dx>|.
 
-    Construction checks the row invariants: dispersions are nonnegative,
-    dx * dp >= (hbar/2)(1 - 2e-9), and dx * dx0 >= robertson_bound - 1e-9.
+    Construction checks the row invariants: entries are finite, dispersions
+    nonnegative, dx * dp >= (hbar/2)(1 - 2e-9) and dx * dx0 >= robertson_bound - 1e-9.
     """
 
     COLUMNS = (
@@ -125,6 +124,8 @@ class RunReport:
         dp = data[:, 4]
         dx0 = data[:, 5]
         bound = data[:, 6]
+        if not np.isfinite(data).all():
+            raise InvariantViolation("non-finite value in report rows")
         if np.any(dx < 0) or np.any(dp < 0):
             raise InvariantViolation("negative dispersion in report rows")
         bad = np.nonzero(dx * dp < hbar / 2.0 * (1.0 - 2e-9))[0]
@@ -281,11 +282,6 @@ def xt_x0_commutator(cfg: WellConfig, t: float) -> OperatorMatrix:
     return commutator(evolve(x, cfg, t), x)
 
 
-def _parity_order(cfg: WellConfig) -> np.ndarray:
-    """Indices of the modes in parity order, n = 1, 3, 5, .. then 2, 4, ..; the series engine's row order."""
-    return np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]
-
-
 def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray):
     """Phases exp(-i n^2 omega_1 t) and columns C = a exp(-i n^2 omega_1 t), one per time, in parity order.
 
@@ -296,26 +292,6 @@ def _schrodinger_columns(state: StateVector, cfg: WellConfig, times: np.ndarray)
     n2 = cfg.mode_numbers()[order] ** 2
     phase = np.exp(-1j * (n2[:, None] * (cfg.base_frequency * times[None, :])))
     return phase, state.coeffs[order][:, None] * phase
-
-
-def _parity_blocks(cfg: WellConfig, count: int) -> list:
-    """B = x[odd, even] and, for count 2, Q = (p/i)[odd, even], a block of rows at a time.
-
-    In parity order the closed forms are x = (L/2) I + [[0, B], [B^T, 0]]
-    and p/i = [[0, Q], [-Q^T, 0]]: every other entry is a parity zero.
-    Raises ValueError above the dense cap before allocating.
-    """
-    _check_dense(cfg.N)
-    n = cfg.mode_numbers().astype(np.int64)[_parity_order(cfg)]
-    odd, even = np.split(n, [(cfg.N + 1) // 2])
-    blocks = [np.empty((odd.size, even.size)) for _ in range(count)]
-    for lo, hi in _row_blocks(odd.size, even.size):
-        kl = np.multiply.outer(odd[lo:hi], even).astype(float)  # exact below 2^53
-        d = np.subtract.outer(odd[lo:hi] ** 2, even**2)
-        blocks[0][lo:hi] = _position_offdiagonal(cfg, kl, d)
-        if count == 2:
-            blocks[1][lo:hi] = _momentum_offdiagonal(cfg, kl, d)
-    return blocks
 
 
 def _parity_product(block: np.ndarray, c: np.ndarray, diagonal: float = 0.0, sign: float = 1.0) -> np.ndarray:
@@ -342,7 +318,7 @@ def _moments(w: np.ndarray, c: np.ndarray):
 
 def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> np.ndarray:
     """Delta x(t) at each time, from one product X C over the Schrodinger columns."""
-    (b,) = _parity_blocks(cfg, 1)
+    (b,) = _parity_blocks(cfg, "x")
     _, c = _schrodinger_columns(state, cfg, times)
     mean, second = _moments(_parity_product(b, c, cfg.L / 2.0), c)
     return _std_from_moments(second, mean, "dx(t)")
@@ -365,7 +341,7 @@ def _series_report(state: StateVector, cfg: WellConfig, grid: TimeGrid, scenario
             f"series reports need steps >= 3 for second-order differences, got {grid.steps}"
         )
     order = _parity_order(cfg)
-    b, q = _parity_blocks(cfg, 2)
+    b, q = _parity_blocks(cfg, "x", "p/i")
     s, u, v = _wall_force(cfg)
     u, v = u[order], v[order]
 

@@ -247,8 +247,9 @@ def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, 
 
     The columns V[:, m] = a_m |state> give the one-body density matrix
     rho = V^dagger V, rho_nm = <a_n^dagger a_m>, and the density is
-    phi^dagger rho phi with phi_m = psi_m(x) exp(-i m^2 omega_1 t).  `x` may
-    be an array of positions (returns an array) or a scalar (returns a float).
+    sum_nm psi_n(x) rho_nm exp(i (n^2 - m^2) omega_1 t) psi_m(x), each phase
+    an exact integer times omega_1 t as in operators.evolve.  `x` may be an
+    array of positions (returns an array) or a scalar (returns a float).
     """
     if state.basis != basis:
         raise ValueError("state and basis do not match")
@@ -263,10 +264,9 @@ def density_expectation(state: FockState, cfg: WellConfig, basis: FockBasis, x, 
         v[target, m] = amps * state.coeffs
     rho = v.conj().T @ v
     n2 = np.arange(1, basis.modes + 1, dtype=np.int64) ** 2
-    phase = np.exp(-1j * (n2 * (cfg.base_frequency * t)))
-    phi = np.array([eigenfunction(cfg, n, xs.ravel()) for n in range(1, basis.modes + 1)])
-    phi = phi * phase[:, None]
-    density = np.real(np.sum(phi.conj() * (rho @ phi), axis=0)).reshape(xs.shape)
+    rho *= np.exp(1j * (np.subtract.outer(n2, n2) * (cfg.base_frequency * t)))
+    psi = np.array([eigenfunction(cfg, n, xs.ravel()) for n in range(1, basis.modes + 1)])
+    density = np.real(np.sum(psi * (rho @ psi), axis=0)).reshape(xs.shape)
     return float(density) if density.ndim == 0 else density
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import NonConvergentDerivative
 from .well import WellConfig, _check_dense, eigen_energy
 
-# Builders and evolve work on this many entries at a time, so their
-# temporaries stay a small fraction of the matrix they fill.
+# The parity-block fill and evolve work on this many entries at a time, so
+# their temporaries stay a small fraction of the matrix they fill.
 _ROW_BLOCK_ELEMENTS = 2**16
 
 # The evolve report's first chunk of phase groups (each next one doubles), and its time samples at a time.
@@ -107,51 +107,68 @@ def _momentum_offdiagonal(cfg: WellConfig, kl: np.ndarray, d: np.ndarray) -> np.
     return kl * (4.0 * cfg.hbar) / (cfg.L * -d)
 
 
-def _closed_form_rows(cfg: WellConfig, lo: int, hi: int):
-    """Rows lo .. hi-1 of x and of p/i as real arrays (well.position_element, momentum_element).
+def _parity_order(cfg: WellConfig) -> np.ndarray:
+    """Indices of the modes in parity order, n = 1, 3, 5, .. then 2, 4, ..; the series engine's row order."""
+    return np.r_[0 : cfg.N : 2, 1 : cfg.N : 2]
 
-    Only the off-diagonal entries with k + l odd, a stride-2 slice of each row,
-    are formed; the others stay exact zeros.  Integer k l and k^2 - l^2 make x
-    exactly symmetric and p/i exactly antisymmetric.
+
+def _parity_blocks(cfg: WellConfig, *forms: str) -> list:
+    """B = x[odd, even] for "x" and Q = (p/i)[odd, even] for "p/i", in the order asked, a block of rows at a time.
+
+    In parity order the closed forms are x = (L/2) I + [[0, B], [B^T, 0]]
+    and p/i = [[0, Q], [-Q^T, 0]]: every other entry is a parity zero.  This
+    is the one fill of the k + l odd entries (well.position_element,
+    momentum_element); integer k l and k^2 - l^2 make x exactly symmetric
+    and p/i exactly antisymmetric.  Raises ValueError above the dense cap
+    before allocating.
     """
-    n = cfg.mode_numbers().astype(np.int64)
-    x, p_over_i = np.zeros((hi - lo, cfg.N)), np.zeros((hi - lo, cfg.N))
-    for first in (lo, lo + 1):  # the rows of one parity, then those of the other
-        rows, cols = slice(first - lo, None, 2), slice((first + 1) % 2, None, 2)
-        k, l = n[first:hi:2], n[cols]
-        kl = np.multiply.outer(k, l).astype(float)  # exact below 2^53
-        d = np.subtract.outer(k * k, l * l)
-        x[rows, cols] = _position_offdiagonal(cfg, kl, d)
-        p_over_i[rows, cols] = _momentum_offdiagonal(cfg, kl, d)
-    x[np.arange(hi - lo), np.arange(lo, hi)] = cfg.L / 2.0
-    return x, p_over_i
+    _check_dense(cfg.N)
+    n = cfg.mode_numbers().astype(np.int64)[_parity_order(cfg)]
+    odd, even = np.split(n, [(cfg.N + 1) // 2])
+    helpers = [{"x": _position_offdiagonal, "p/i": _momentum_offdiagonal}[form] for form in forms]
+    blocks = [np.empty((odd.size, even.size)) for _ in forms]
+    for lo, hi in _row_blocks(odd.size, even.size):
+        kl = np.multiply.outer(odd[lo:hi], even).astype(float)  # exact below 2^53
+        d = np.subtract.outer(odd[lo:hi] ** 2, even**2)
+        for block, helper in zip(blocks, helpers):
+            block[lo:hi] = helper(cfg, kl, d)
+    return blocks
+
+
+def _natural_order(block: np.ndarray, sign: float, out: np.ndarray) -> np.ndarray:
+    """Write [[0, block], [sign block^T, 0]] from parity order into `out`, zeroed, in mode order.
+
+    The odd modes are rows 0, 2, .. of `out`, so both blocks land on strided slices, of a .real or .imag view too.
+    """
+    out[0::2, 1::2] = block
+    np.multiply(block.T, sign, out=out[1::2, 0::2])
+    return out
 
 
 def build_position(cfg: WellConfig) -> OperatorMatrix:
     """Position matrix: L/2 on the diagonal, -8Lkl/(pi^2 (k^2-l^2)^2) for k+l odd.
 
-    Exactly symmetric with exact parity zeros.  Formed a block of rows at a
-    time, so the matrix itself is the only N x N allocation.  Raises
-    ValueError before allocating when one N x N complex matrix would
-    exceed 256 MiB.
+    Exactly symmetric with exact parity zeros.  Besides the matrix itself
+    only its parity block B, a quarter of its entries as floats, is
+    allocated.  Raises ValueError before allocating when one N x N complex
+    matrix would exceed 256 MiB.
     """
-    _check_dense(cfg.N)
-    x = np.empty((cfg.N, cfg.N), dtype=complex)
-    for lo, hi in _row_blocks(cfg.N):
-        x[lo:hi] = _closed_form_rows(cfg, lo, hi)[0]
+    (b,) = _parity_blocks(cfg, "x")
+    x = np.zeros((cfg.N, cfg.N), dtype=complex)
+    _natural_order(b, 1.0, x.real)
+    np.fill_diagonal(x, cfg.L / 2.0)
     return _handover(x)
 
 
 def build_momentum(cfg: WellConfig) -> OperatorMatrix:
     """Momentum matrix: zero diagonal, 4 i hbar k l / (L (l^2 - k^2)) for k+l odd.
 
-    Formed a block of rows at a time; raises ValueError before allocating
-    above the 256 MiB cap.
+    Real parts are exact +0.0.  Formed from the parity block Q alone; raises
+    ValueError before allocating above the 256 MiB cap.
     """
-    _check_dense(cfg.N)
-    p = np.empty((cfg.N, cfg.N), dtype=complex)
-    for lo, hi in _row_blocks(cfg.N):
-        p[lo:hi] = 1j * _closed_form_rows(cfg, lo, hi)[1]
+    (q,) = _parity_blocks(cfg, "p/i")
+    p = np.zeros((cfg.N, cfg.N), dtype=complex)
+    _natural_order(q, -1.0, p.imag)
     return _handover(p)
 
 
@@ -323,37 +340,35 @@ class CommutatorReport:
 def canonical_commutator_report(cfg: WellConfig, block: InteriorBlockSpec) -> CommutatorReport:
     """Measure how well the truncated x and p satisfy [x, p] = i hbar I.
 
-    Works on the real X and P/i a block of rows at a time, in O(N^2 + b^2 N)
-    operations and below one dense N x N matrix: with X symmetric and P/i
-    antisymmetric, [x, p]_kk = -2i sum_j X_kj (P/i)_kj, and the b x b
-    interior block is X[:b] (P/i)[:, :b] - (P/i)[:b] X[:, :b] times i.  The
-    trace is the exact 0 fixed by the symmetry of X and antisymmetry of P/i,
-    or NaN when a diagonal term is not finite (|2 X_kj (P/i)_kj| stays below
-    4 hbar k l, so it is finite wherever (P/i)_kj is).
+    Works on the parity blocks B and Q, in O(N^2 + b^2 N) operations and
+    below one dense N x N matrix.  In parity order
+    [x, p]/i = [[-(B Q^T + Q B^T), 0], [0, B^T Q + Q^T B]]: the entries
+    between modes of opposite parity are exact zeros, the diagonal is
+    -2 rowsum(B o Q) on the odd modes and +2 colsum(B o Q) on the even ones,
+    and the b x b interior block is made of the two blocks' modes <= b.  The
+    two diagonal halves sum the same terms with opposite signs, so the trace
+    is the exact 0, or NaN when a diagonal term is not finite (|2 B_kj Q_kj|
+    stays below 4 hbar k l, so it is finite wherever Q_kj is).
     """
     if 4 * block.max_index > cfg.N:
         raise ValueError(
             f"interior block {block.max_index} too large: need N >= {4 * block.max_index}, got N={cfg.N}"
         )
-    _check_dense(cfg.N)
     b = block.max_index
-    trace_terms = np.empty(cfg.N)  # [x, p]_kk / i
-    head_x, head_p = np.empty((b, cfg.N)), np.empty((b, cfg.N))
-    # the first b columns of X and P/i, interleaved, so a column's stride stays above 1 as in
-    # an N x N matrix: numpy sums a 1 x N by N x 1 product in an order that depends on it
-    columns = np.empty((cfg.N, 2, b))
-    for lo, hi in _row_blocks(cfg.N):
-        x, p_over_i = _closed_form_rows(cfg, lo, hi)
-        trace_terms[lo:hi] = -2.0 * np.einsum("kj,kj->k", x, p_over_i)
-        top = max(0, min(hi, b) - lo)  # the rows of this block among the first b
-        head_x[lo : lo + top], head_p[lo : lo + top] = x[:top], p_over_i[:top]
-        columns[lo:hi, 0], columns[lo:hi, 1] = x[:, :b], p_over_i[:, :b]
+    xb, qb = _parity_blocks(cfg, "x", "p/i")
+    terms = xb * qb
+    trace_terms = np.concatenate([-2.0 * terms.sum(axis=1), 2.0 * terms.sum(axis=0)])  # [x, p]_kk / i
     diag = trace_terms / cfg.hbar
-    interior = (head_x @ columns[:, 1] - head_p @ columns[:, 0]) / cfg.hbar - np.eye(b)
+    odd = xb[: (b + 1) // 2] @ qb[: (b + 1) // 2].T  # B Q^T on the odd modes <= b
+    even = xb[:, : b // 2].T @ qb[:, : b // 2]  # B^T Q on the even modes <= b
+    deviation = max(
+        float(np.abs(-(odd + odd.T) / cfg.hbar - np.eye(len(odd))).max()),
+        float(np.abs((even + even.T) / cfg.hbar - np.eye(len(even))).max(initial=0.0)),
+    )
     return CommutatorReport(
         dim=cfg.N,
         block=b,
-        interior_max_deviation=float(np.abs(interior).max()),
+        interior_max_deviation=deviation,
         trace=complex(0.0, 0.0 if np.isfinite(trace_terms).all() else math.nan),
         trace_naive=complex(0.0, trace_terms.sum()),
         worst_diagonal_deviation=float(np.abs(diag - 1.0).max()),

@@ -58,12 +58,9 @@ class WellConfig:
     N: int = 100
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"well width L must be positive, got {self.L}")
-        if not self.m > 0:
-            raise ValueError(f"mass m must be positive, got {self.m}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        for name, value in (("well width L", self.L), ("mass m", self.m), ("hbar", self.hbar)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if int(self.N) != self.N or self.N < 2:
             raise ValueError(f"truncation dimension N must be an integer >= 2, got {self.N}")
         object.__setattr__(self, "N", int(self.N))

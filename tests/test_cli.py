@@ -15,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrixwell import WellConfig, build_momentum, build_position, dynamics, operators, revival_time
-from matrixwell.cli import OPTIONS, SCENARIOS, main, parse_config, run
+from matrixwell import TimeGrid, WellConfig, build_momentum, build_position, dynamics, operators, revival_time
+from matrixwell.cli import OPTIONS, SCENARIOS, RunConfig, main, parse_config, run
 from matrixwell.errors import ConfigError
-from matrixwell.operators import _closed_form_rows
+from matrixwell.operators import _parity_blocks
 from matrixwell.reports import render_csv, render_json
 
 SI_ELECTRON = (1e-9, 9.1093837015e-31, 1.054571817e-34)  # L, m, hbar
@@ -132,6 +132,43 @@ class TestOptionTable:
                     assert flag != parse_config(base), scenario
             else:  # ignored: neither read, checked nor echoed
                 assert flag == parse_config(base), scenario
+
+    def test_every_option_reaches_a_run_and_the_echo(self, tmp_path):
+        """No dead knobs: each option a scenario lists is read by its run, from `options` or through
+        the well or grid built from it, every option by some scenario, and a JSON report echoes
+        exactly the options its scenario lists, but the output path."""
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        class Watched(RunConfig):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        keys = {opt.key for opt in OPTIONS}
+        read_somewhere = set()
+        for scenario in SCENARIOS:
+            out = tmp_path / f"{scenario}.json"
+            argv = [scenario, "--N", "64", "--state", "eigen:1", "--format", "json", "--out", str(out)]
+            fields = vars(parse_config(argv))
+            options, well = fields["options"], fields["well"]
+            read.clear()
+            assert run(Watched(**{**fields, "options": Recording(options)})) == 0
+            if "well" in read:
+                read |= {key for key in ("L", "m", "hbar", "N") if options.get(key) == getattr(well, key)}
+            if "grid" in read:
+                read |= {"t-start", "t-end", "steps"}
+                assert fields["grid"] == TimeGrid(options["t-start"], options["t-end"], options["steps"])
+            listed = {opt.key for opt in OPTIONS if scenario in opt.scenarios}
+            assert read & keys == listed, scenario
+            echo = json.loads(out.read_text())["config"]
+            assert set(echo) == {"scenario"} | {key.replace("-", "_") for key in listed - {"out"}}, scenario
+            read_somewhere |= read & keys
+        assert read_somewhere == keys
 
     def test_help_lists_every_option_with_default_and_scenarios(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -628,9 +665,10 @@ class TestFailureModes:
         assert err.value.field == "N"
         assert peak < 4 * 2**20
         assert parse_config(["elements", "--N", "4096"]).well.N == 4096
-        assert parse_config(["fock-algebra", "--N", "5000"]).well.N == 5000
-        # a Fock run forms its phases from its M modes, never from N: N^2 omega_1 t would leave the float range
-        assert parse_config(["fock-density", "--N", "1" + "0" * 200]).options["t"] == 0.0
+        # the Fock runs do not read N: fock-algebra has no well, and fock-density's has N = max(2, M)
+        assert parse_config(["fock-algebra", "--N", "5000"]).well is None
+        assert parse_config(["fock-density", "--N", "1" + "0" * 200]).well.N == 3
+        # fock-density forms its phases from its M modes: N^2 omega_1 t would leave the float range
         assert parse_config(["fock-density", "--N", "4096", "--t", "1e302"]).options["t"] == 1e302
 
     @pytest.mark.parametrize(
@@ -953,11 +991,9 @@ def test_accepted_scales_form_every_entry(n, scales):
         rc = parse_config(argv)
     except ConfigError:
         return
-    x, p_over_i = _closed_form_rows(rc.well, 0, n)
-    k, l = np.indices(x.shape) + 1
-    odd = (k + l) % 2 == 1
-    for entries in (x[odd], p_over_i[odd]):
-        assert np.all(np.isfinite(entries) & (entries != 0)), argv
+    # B = x[odd, even] and Q = (p/i)[odd, even] hold every k + l odd entry, up to the sign of Q^T
+    for block in _parity_blocks(rc.well, "x", "p/i"):
+        assert np.all(np.isfinite(block) & (block != 0)), argv
 
 
 INT_KEYS = [opt.key for opt in OPTIONS if opt.kind is int]

@@ -466,6 +466,13 @@ class TestReportInvariants:
         with pytest.raises(InvariantViolation):
             RunReport(row, hbar=1.0)
 
+    @pytest.mark.parametrize("column, value", [(0, math.inf), (3, math.nan), (4, math.inf), (9, math.nan)])
+    def test_non_finite_entry_raises(self, column, value):
+        row = np.ones((1, len(RunReport.COLUMNS)))  # dx dp = 1 >= hbar/2 and dx dx0 = 1 >= the bound
+        row[0, column] = value
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            RunReport(row, hbar=1.0)
+
     def test_negative_dispersion_raises(self):
         row = np.zeros((1, len(RunReport.COLUMNS)))
         row[0, 3] = -0.1

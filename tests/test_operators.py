@@ -25,6 +25,8 @@ from matrixwell import (
     position_element,
     revival_time,
 )
+from matrixwell import operators
+from matrixwell.cli import _run_elements, parse_config
 from matrixwell.operators import _position_evolution_checks, _position_phase_groups
 from matrixwell.well import _MAX_DENSE_BYTES
 from oracles import closed_form_matrices
@@ -135,10 +137,40 @@ class TestSizeCap:
         # the builders form only the k + l odd entries; 257 and 700 take several row blocks
         cfg = WellConfig(L=1.3, hbar=0.7, N=n)
         x, p_over_i = closed_form_matrices(cfg)
-        bits = [build_position(cfg).entries, build_momentum(cfg).entries, x.astype(complex), 1j * p_over_i]
+        p = np.zeros((n, n), dtype=complex)
+        p.imag[...] = p_over_i  # the real parts are +0.0, where 1j * p_over_i would give -0.0 beside a negative entry
+        bits = [build_position(cfg).entries, build_momentum(cfg).entries, x.astype(complex), p]
         got_x, got_p, want_x, want_p = (a.view(np.uint64) for a in bits)
         np.testing.assert_array_equal(got_x, want_x)
         np.testing.assert_array_equal(got_p, want_p)
+
+    @pytest.mark.parametrize("n", [2, 7, 250])
+    def test_each_entry_formed_once(self, n):
+        """The k + l odd entries are formed once, as the ceil(N/2) floor(N/2) of each parity block a
+        run needs: elements forms B and Q, build_position B alone and build_momentum Q alone."""
+        formed = {}
+
+        def counting(form, helper):
+            def count(cfg, kl, d):
+                formed[form] = formed.get(form, 0) + kl.size
+                return helper(cfg, kl, d)
+
+            return count
+
+        block = -(-n // 2) * (n // 2)
+        runs = [
+            (lambda: _run_elements(parse_config(["elements", "--N", str(n)])), {"x": block, "p/i": block}),
+            (lambda: build_position(WellConfig(N=n)), {"x": block}),
+            (lambda: build_momentum(WellConfig(N=n)), {"p/i": block}),
+        ]
+        with (
+            mock.patch.object(operators, "_position_offdiagonal", counting("x", operators._position_offdiagonal)),
+            mock.patch.object(operators, "_momentum_offdiagonal", counting("p/i", operators._momentum_offdiagonal)),
+        ):
+            for fill, want in runs:
+                formed.clear()
+                fill()
+                assert formed == want
 
     def test_row_blocks_match_closed_forms(self):
         cfg = WellConfig(L=1.3, hbar=0.7, N=700)  # 8 row blocks, the last one short

@@ -1,13 +1,14 @@
 """Property tests on random states: the series engine (N <= 64), the
-shift-form Fock layer (bases of at most 125 states), the O(N^2)
-commutator report (N <= 200 against the full products, N <= 300 bit for
-bit against the whole-matrix report, and its trace against the paired
-sum at scales over 1e+-300), the phase-exponent groups of the
+shift-form Fock layer (bases of at most 125 states, and occupation
+densities bit for bit at every t), the O(N^2) commutator report (N <= 200
+against the full products, N <= 300 bit for bit against the report on
+parity blocks sliced whole, and its trace against the paired sum at
+scales over 1e+-300), the phase-exponent groups of the
 `evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 300
 bit for bit against both phases of every group, whatever the first chunk
 of the stop rule and on grids near t = 0, and N <= 600 bit for bit against
-the mask-and-sort groups), the parity blocks of the series engine (N <= 300
-bit for bit against the closed-form rows), the panel-factorised sine
+the mask-and-sort groups), the parity blocks (N <= 300 bit for bit
+against the whole closed forms), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
 force, the fractional revivals at t_r/4 and at random coprime p/q t_r with
 q <= 12 (phases and position space), and parity selection.
@@ -47,17 +48,18 @@ from matrixwell import (
 
 from matrixwell import operators
 from matrixwell.cli import _run_evolve, _run_revival, parse_config
-from matrixwell.dynamics import _parity_blocks, _parity_order, _position_spread, _schrodinger_columns
-from matrixwell.operators import _closed_form_rows, _position_evolution_checks
+from matrixwell.dynamics import _position_spread, _schrodinger_columns
+from matrixwell.operators import _parity_blocks, _parity_order, _position_evolution_checks
 from oracles import (
+    closed_form_matrices,
     dense_check_algebra,
-    dense_commutator_report,
     dense_evolve_report,
     dense_field,
     dense_force_matrix,
     dense_revival_report,
     direct_sine_coefficients,
     heisenberg_series,
+    parity_commutator_report,
     product_commutator_report,
     sorted_phase_groups,
     two_phase_evolution_checks,
@@ -193,6 +195,22 @@ def test_density_integrates_to_mean_particle_number(drawn, periods):
 
 
 @PROPERTY
+@given(fock_bases(), st.data(), st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+       st.floats(-50.0, 50.0))
+def test_occupation_density_is_bit_equal_at_every_t(basis, data, scales, periods):
+    """An occupation eigenstate's rho_nm is diagonal, and a diagonal entry's phase exp(i 0 omega_1 t)
+    is exactly 1, so its density at any t is the t = 0 density bit for bit."""
+    occupation = data.draw(st.lists(st.integers(0, basis.cutoff), min_size=basis.modes, max_size=basis.modes))
+    L, m, hbar = scales
+    cfg = WellConfig(L=L, m=m, hbar=hbar, N=max(2, basis.modes))
+    state = FockState.occupied(basis, occupation)
+    xs = np.linspace(0.0, L, 33)
+    got = density_expectation(state, cfg, basis, xs, periods * revival_time(cfg))
+    want = density_expectation(state, cfg, basis, xs, 0.0)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@PROPERTY
 @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.integers(8, 200), st.data())
 def test_commutator_report_matches_dense_products(L, hbar, n, data):
     """Each figure within N eps sum |terms| of the dense X P - P X report; trace exactly 0."""
@@ -230,7 +248,7 @@ def test_commutator_report_is_bit_equal_to_the_dense_report(log_l, log_hbar, n, 
     rows = data.draw(st.integers(1, n), label="rows per block")
     with mock.patch.object(operators, "_ROW_BLOCK_ELEMENTS", rows * n):
         got = canonical_commutator_report(cfg, block)
-    assert _bits(got) == _bits(dense_commutator_report(cfg, block))
+    assert _bits(got) == _bits(parity_commutator_report(cfg, block))
     assert got.trace == 0.0
 
 
@@ -244,7 +262,7 @@ def test_commutator_trace_is_the_paired_sum_at_any_scale(log_l, log_hbar, n):
     cfg = WellConfig(L=10.0**log_l, hbar=10.0**log_hbar, N=n)
     with np.errstate(all="ignore"):
         got = canonical_commutator_report(cfg, InteriorBlockSpec(1)).trace
-        want = dense_commutator_report(cfg, InteriorBlockSpec(1)).trace
+        want = parity_commutator_report(cfg, InteriorBlockSpec(1)).trace
     assert np.float64(got.real).view(np.uint64) == 0 and np.float64(want.real).view(np.uint64) == 0
     if math.isnan(want.imag):
         assert math.isnan(got.imag)
@@ -371,20 +389,21 @@ def test_phase_groups_match_mask_and_sort_bitwise(L, n):
 @PROPERTY
 @given(st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3), st.integers(2, 300))
 def test_parity_blocks_hold_every_nonzero_off_diagonal_entry(scales, n):
-    """B = x[odd, even] and Q = (p/i)[odd, even] are the entries of `_closed_form_rows` bit for
-    bit, with or without Q; the [even, odd] blocks are exactly B^T and -Q^T, and every other entry
+    """B = x[odd, even] and Q = (p/i)[odd, even] are the entries of the whole closed forms bit for
+    bit, alone or together; the [even, odd] blocks are exactly B^T and -Q^T, and every other entry
     off the diagonal is an exact +0.0."""
     L, m, hbar = scales
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
-    full = _closed_form_rows(cfg, 0, n)
-    blocks = _parity_blocks(cfg, 2)
+    full = closed_form_matrices(cfg)
+    blocks = _parity_blocks(cfg, "x", "p/i")
     odd, even = np.arange(0, n, 2), np.arange(1, n, 2)
     same_parity = np.equal.outer(np.arange(n) % 2, np.arange(n) % 2) & ~np.eye(n, dtype=bool)
     for matrix, block, sign in zip(full, blocks, (1.0, -1.0)):
         np.testing.assert_array_equal(matrix[np.ix_(odd, even)].view(np.uint64), block.view(np.uint64))
         np.testing.assert_array_equal(matrix[np.ix_(even, odd)].view(np.uint64), (sign * block.T).view(np.uint64))
         assert np.all(matrix[same_parity].view(np.uint64) == 0)
-    np.testing.assert_array_equal(_parity_blocks(cfg, 1)[0].view(np.uint64), blocks[0].view(np.uint64))
+    for form, block in zip(("x", "p/i"), blocks):
+        np.testing.assert_array_equal(_parity_blocks(cfg, form)[0].view(np.uint64), block.view(np.uint64))
 
 
 @PROPERTY

@@ -21,7 +21,11 @@ def cfg():
 
 
 class TestWellConfig:
-    @pytest.mark.parametrize("bad", [dict(L=0), dict(m=-1), dict(hbar=0), dict(N=1), dict(N=2.5)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(L=0), dict(m=-1), dict(hbar=0), dict(N=1), dict(N=2.5),
+         dict(L=math.inf), dict(m=math.inf), dict(hbar=math.inf), dict(L=math.nan)],
+    )
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             well.WellConfig(**bad)
