@@ -37,6 +37,7 @@ from .fock import (
     FockState,
     Statistics,
     check_algebra,
+    condensate_state,
     density_expectation,
 )
 from .operators import (
@@ -404,8 +405,10 @@ def _run_commutator(rc: RunConfig):
 
 def _run_evolve(rc: RunConfig):
     times = rc.grid.times()
-    checks = _position_evolution_checks(rc.well, times)
-    return list(_EVOLVE_COLUMNS), [times, *checks], {"revival_time": revival_time(rc.well)}
+    # frobenius_drift and hermiticity_defect are exact zeros: each phase is unimodular and pairs with its conjugate
+    zero = np.zeros(len(times))
+    columns = [times, _position_evolution_checks(rc.well, times), zero, zero]
+    return list(_EVOLVE_COLUMNS), columns, {"revival_time": revival_time(rc.well)}
 
 
 def _run_series(rc: RunConfig):
@@ -417,7 +420,7 @@ def _run_series(rc: RunConfig):
 def _run_revival(rc: RunConfig):
     cfg = rc.well
     t_r = revival_time(cfg)
-    change = _position_evolution_checks(cfg, np.array([t_r]))[0, 0]
+    change = _position_evolution_checks(cfg, np.array([t_r]))[0]
     dx0, dxr = _position_spread(_build_state(rc), cfg, np.array([0.0, t_r]))
     row = {
         "t_r": t_r,
@@ -437,10 +440,8 @@ def _fock_basis_and_state(rc: RunConfig):
     basis = _fock_basis(rc.options)
     n = rc.options["particles"]
     if basis.statistics is Statistics.BOSON:
-        occupation = [n] + [0] * (basis.modes - 1)  # a condensate in the lowest mode
-    else:
-        occupation = [1] * n + [0] * (basis.modes - n)  # a sea filling the lowest modes
-    return basis, FockState.occupied(basis, occupation)
+        return basis, condensate_state(basis, n)
+    return basis, FockState.occupied(basis, [1] * n + [0] * (basis.modes - n))  # a sea filling the lowest modes
 
 
 def _run_fock_density(rc: RunConfig):

@@ -20,7 +20,7 @@ from .well import WellConfig, _check_dense, eigen_energy
 # their temporaries stay a small fraction of the matrix they fill.
 _ROW_BLOCK_ELEMENTS = 2**16
 
-# The evolve report's first chunk of phase groups (each next one doubles), and its time samples at a time.
+# The evolve report's first chunk of entries (each next one doubles), and its time samples at a time.
 _FIRST_CHUNK = 256
 _SAMPLE_BLOCK = 2**12
 
@@ -200,71 +200,48 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
     return _handover(out)
 
 
-def _position_phase_groups(cfg: WellConfig):
-    """The distinct |k^2 - l^2| over k < l, k + l odd, each with its largest |x_kl|, largest first.
-
-    Such a pair is a = l - k and b = l + k, both odd, a < b <= 2N - a, and |k^2 - l^2| = ab.
-    For one ab, k l = (b^2 - a^2)/4 falls as a rises and |x_kl| rounds monotonically in k l,
-    so a group's peak is at its smallest a, found over a table indexed by (ab - 1)/2.
-    """
-    n = cfg.N
-    odd = np.arange(1, 2 * n, 2, dtype=np.int32)
-    a_all, b = odd[: n // 2], odd[1:]
-    smallest = np.full(n * n // 2, n, dtype=np.uint16)  # n: no pair has this ab
-    for lo, hi in _row_blocks(a_all.size, b.size):
-        a = a_all[lo:hi, None]
-        pairs = (a < b) & (b <= 2 * n - a)
-        np.minimum.at(smallest, (a * b)[pairs] >> 1, np.broadcast_to(a, pairs.shape)[pairs].astype(np.uint16))
-    d = 2 * np.flatnonzero(smallest < n) + 1
-    a = smallest[d >> 1].astype(np.int64)
-    del smallest
-    b = d // a
-    peak = -_position_offdiagonal(cfg, ((b - a) * (b + a) >> 2).astype(float), d)
-    order = np.argsort(peak)[::-1]
-    return d[order], peak[order]
-
-
 def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray:
-    """Rows max|x(t) - x(0)|, | ||x(t)||_F - ||x(0)||_F | and x(t).hermiticity_defect().
+    """max|x(t) - x(0)| at each time, what `evolve(build_position(cfg), cfg, t)` gives, without forming x(t).
 
-    One column per time, each what `evolve(build_position(cfg), cfg, t)`
-    gives, without forming x(t).  Off the diagonal x(t)_kl = x_kl e^{i d w t}
-    with d = k^2 - l^2 is nonzero only for k + l odd, and its phase depends
-    on d alone.  So the k < l entries are grouped once by |d| (6 842 groups
-    for 10 000 entries at N = 200), and a group's exponential is
-    e = e^{i|d| w t}, as evolve forms the (l, k) phase.  numpy forms the
-    (k, l) phase e^{-i|d| w t} as its exact conjugate, so:
+    Off the diagonal x(t)_kl = x_kl e^{i d w t} with d = k^2 - l^2 is nonzero
+    only for k + l odd, the entries of the parity block B = x[odd, even],
+    each unordered pair once.  An entry's exponential is e = e^{i|d| w t},
+    the phase evolve forms at whichever of (k, l) and (l, k) has d > 0; numpy
+    forms the other, e^{-i|d| w t}, as its exact conjugate, and |x_kl (e - 1)|
+    is the same for e and conj(e).  So the largest change is the largest
+    |p e - p| over B, p = |x_kl| = -x_kl, formed as evolve's x e - x:
 
-    * |x_kl (e - 1)| is the same for e and conj(e), and grows with |x_kl|
-      (entries of a group differ by at least 1/N^2 relative, far above
-      rounding), so the largest change is that of a group's largest
-      entry p, formed as evolve's x e - x;
-    * the groups are taken largest p first, in chunks that double from
+    * the entries are taken largest p first, in chunks that double from
       _FIRST_CHUNK up to _ROW_BLOCK_ELEMENTS, for all open samples at once,
       and a sample closes once a bound on every later change is at most its
       largest change so far.  A change is 2 p |sin(theta/2)|, theta = |d w t|:
       at most 2 p, 2 p (1 + 8 eps) once rounded, and at most p theta.  With
       cos and sin rounded within an ulp, p e - p rounds to at most
       p (theta + 3 eps / 2)(1 + 2 eps), and theta and p |d| round once each.
-      So min(2 p, |w t| S + 2 eps p)(1 + 8 eps), at the next group's p and
+      So min(2 p, |w t| S + 2 eps p)(1 + 8 eps), at the next entry's p and
       the largest p |d| from it on, S, bounds every later change, its own
       rounding included.  Samples at w t = 0, where every change is exactly
-      0, close before any group; samples at t_r, where every change is
-      rounding, see every group, in O(log G) chunks;
-    * every phase is unimodular and pairs with its conjugate, so the
-      Frobenius drift and the Hermiticity defect are exactly 0.
+      0, close before any entry; samples at t_r, where every change is
+      rounding, see every entry.
 
-    A chunk takes as many open samples at a time as keep its work arrays
-    within _ROW_BLOCK_ELEMENTS entries, from _SAMPLE_BLOCK samples at a time.
+    Every phase is unimodular and pairs with its conjugate, so the Frobenius
+    drift and the Hermiticity defect of x(t) are exactly 0.  A chunk takes
+    as many open samples at a time as keep its work arrays within
+    _ROW_BLOCK_ELEMENTS entries, from _SAMPLE_BLOCK samples at a time.
     """
-    _check_dense(cfg.N)
-    exponents, peak = _position_phase_groups(cfg)
-    reach = np.maximum.accumulate((peak * exponents)[::-1])[::-1]  # S from each group on
+    (b,) = _parity_blocks(cfg, "x")
+    order = np.argsort(b, axis=None)  # x_kl < 0 off the diagonal: the largest |x_kl| first
+    peak = -b.ravel()[order]
+    del b
+    n2 = np.arange(1, cfg.N + 1, dtype=np.int64) ** 2
+    exponents = np.abs(np.subtract.outer(n2[0::2], n2[1::2])).ravel()[order]  # |d| in parity order
+    del order
+    reach = np.maximum.accumulate((peak * exponents)[::-1])[::-1]  # S from each entry on
     eps = np.finfo(float).eps
-    out = np.zeros((3, len(times)))
+    out = np.zeros(len(times))
     for start in range(0, len(times), _SAMPLE_BLOCK):
         wt = cfg.base_frequency * np.asarray(times[start : start + _SAMPLE_BLOCK], dtype=float)
-        change = out[0, start : start + _SAMPLE_BLOCK]
+        change = out[start : start + _SAMPLE_BLOCK]
         live, lo, size = np.flatnonzero(wt), 0, _FIRST_CHUNK
         while live.size and lo < len(peak):
             rest = np.minimum(2.0 * peak[lo], np.abs(wt[live]) * reach[lo] + 2.0 * eps * peak[lo])

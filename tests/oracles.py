@@ -24,13 +24,11 @@ block of rows at a time,
 `row_render_csv`/`row_render_json` format a report one cell at a time
 against the column renderer of `reports`, and `dense_evolve_report`/
 `dense_revival_report` evolve the whole N x N position matrix at each
-sample against the phase-exponent groups of the `evolve` and `revival`
-scenarios, `two_phase_evolution_checks` groups the entries itself and
-evaluates both phases of every group at every time against the one
-exponential per group, taken largest peak first, of those scenarios,
-`sorted_phase_groups` finds those groups from an N x N parity mask and a
-sort of every exponent against their construction from the divisor
-structure |k^2 - l^2| = (l - k)(l + k), and
+sample against the largest change over the parity block B of the `evolve`
+and `revival` scenarios, `two_phase_evolution_checks` groups the entries by
+phase exponent and evaluates both phases of every group at every time
+against the one exponential per entry of B, taken largest |x_kl| first, of
+those scenarios, and
 `direct_sine_coefficients` evaluates sin(k_n x) at every node for every
 mode against the FFT panel sums of `well.sine_coefficients`.
 """
@@ -381,28 +379,6 @@ def dense_evolve_report(cfg, times):
             xt.hermiticity_defect(),
         )
     return data
-
-
-def sorted_phase_groups(cfg):
-    """The distinct |k^2 - l^2| over k < l, k + l odd, each with its largest |x_kl|, largest first.
-
-    Every such pair is found from an N x N parity mask; its x_kl is formed
-    as the library's builders form it, the pairs are sorted by exponent,
-    and each run of one exponent keeps its largest |x_kl|.
-    """
-    parity = cfg.mode_numbers() % 2
-    k, l = np.nonzero(np.triu(np.not_equal.outer(parity, parity)))
-    k += 1
-    l += 1
-    d = l * l - k * k
-    x = (k * l).astype(float) * (-8.0 * cfg.L)
-    x /= math.pi**2 * (d * d)
-    order = np.argsort(d)
-    d, x = d[order], x[order]
-    starts = np.flatnonzero(np.diff(d, prepend=0))
-    peak = np.maximum.reduceat(np.abs(x), starts)
-    order = np.argsort(peak)[::-1]
-    return d[starts][order], peak[order]
 
 
 def two_phase_evolution_checks(cfg, times):

@@ -26,8 +26,8 @@ from matrixwell import (
     revival_time,
 )
 from matrixwell import operators
-from matrixwell.cli import _run_elements, parse_config
-from matrixwell.operators import _position_evolution_checks, _position_phase_groups
+from matrixwell.cli import _run_elements, _run_evolve, _run_revival, parse_config
+from matrixwell.operators import _position_evolution_checks
 from matrixwell.well import _MAX_DENSE_BYTES
 from oracles import closed_form_matrices
 
@@ -147,7 +147,8 @@ class TestSizeCap:
     @pytest.mark.parametrize("n", [2, 7, 250])
     def test_each_entry_formed_once(self, n):
         """The k + l odd entries are formed once, as the ceil(N/2) floor(N/2) of each parity block a
-        run needs: elements forms B and Q, build_position B alone and build_momentum Q alone."""
+        run needs: elements forms B and Q, build_position and evolve B alone, revival B for its
+        largest change and B for its spread, and build_momentum Q alone."""
         formed = {}
 
         def counting(form, helper):
@@ -162,6 +163,8 @@ class TestSizeCap:
             (lambda: _run_elements(parse_config(["elements", "--N", str(n)])), {"x": block, "p/i": block}),
             (lambda: build_position(WellConfig(N=n)), {"x": block}),
             (lambda: build_momentum(WellConfig(N=n)), {"p/i": block}),
+            (lambda: _run_evolve(parse_config(["evolve", "--N", str(n)])), {"x": block}),
+            (lambda: _run_revival(parse_config(["revival", "--N", str(n), "--state", "eigen:1"])), {"x": 2 * block}),
         ]
         with (
             mock.patch.object(operators, "_position_offdiagonal", counting("x", operators._position_offdiagonal)),
@@ -246,7 +249,7 @@ class TestEvolve:
     def test_numpy_pairs_each_phase_with_its_conjugate(self):
         """exp(-iy) is the exact conjugate of exp(iy), as the `evolve` and `revival` scenarios assume.
 
-        They form e^{i|d| w t} once per phase group and take the (k, l) phase as its
+        They form e^{i|d| w t} once per entry of the parity block B and take the (k, l) phase as its
         conjugate, which is what evolve gives only while numpy pairs the two bit for bit.
         A numpy that breaks the pairing fails here, not in a report.  At y = 0 the two
         differ in the sign of a zero imaginary part only.  That zero never reaches a
@@ -271,8 +274,8 @@ class TestEvolve:
 
     def test_evolve_report_exponentiates_few_groups(self):
         """Inside one revival period at N = 200, T = 101, the `evolve` report's samples stop after
-        at most 10 % of the phase groups, counted as the elements handed to np.exp, so a
-        return to evaluating every group at every sample fails here without a timing."""
+        at most 5 % of the 100 x 100 entries of B, counted as the elements handed to np.exp, so a
+        return to evaluating every entry at every sample fails here without a timing."""
         cfg = WellConfig(N=200)
         interior = np.linspace(0.0, revival_time(cfg), 101)[1:-1]
         real_exp, sizes = np.exp, []
@@ -283,13 +286,12 @@ class TestEvolve:
 
         with mock.patch.object(np, "exp", counting_exp):
             _position_evolution_checks(cfg, interior)
-        groups = len(_position_phase_groups(cfg)[0])
-        assert 0 < sum(sizes) <= 0.1 * groups * len(interior)
+        assert 0 < sum(sizes) <= 0.05 * 100 * 100 * len(interior)
 
     def test_evolve_report_near_zero_exponentiates_few_groups(self):
         """On [0, 1e-6 t_r] at N = 200, T = 101 every change is at most p theta, far below 2 p, so
-        the bound min(2 p, |w t| S) closes each sample after at most 10 % of the phase groups
-        (with 2 p alone, 59 %); at t = 0 no group reaches np.exp."""
+        the bound min(2 p, |w t| S) closes each sample after at most 5 % of the 100 x 100 entries of B;
+        at t = 0 no entry reaches np.exp."""
         cfg = WellConfig(N=200)
         times = np.linspace(0.0, 1e-6 * revival_time(cfg), 101)
         real_exp, sizes = np.exp, []
@@ -302,8 +304,7 @@ class TestEvolve:
             _position_evolution_checks(cfg, times[:1])
             assert sizes == []
             _position_evolution_checks(cfg, times)
-        groups = len(_position_phase_groups(cfg)[0])
-        assert 0 < sum(map(np.prod, sizes)) <= 0.1 * groups * len(times)
+        assert 0 < sum(map(np.prod, sizes)) <= 0.05 * 100 * 100 * len(times)
 
     def _peak(self, fn):
         tracemalloc.start()
@@ -313,14 +314,16 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
 
-    def test_phase_groups_peak_at_n_1024(self):
-        """0.56 dense complex matrices; the N x N parity mask and the sort of every exponent took 0.91."""
-        peak, _ = self._peak(lambda: _position_phase_groups(WellConfig(N=1024)))
+    def test_evolve_report_peak_at_n_1024(self):
+        """At t_r, where every entry of B is exponentiated, the report peaks at 0.57 dense complex
+        matrices, within 0.91."""
+        cfg = WellConfig(N=1024)
+        peak, _ = self._peak(lambda: _position_evolution_checks(cfg, np.array([revival_time(cfg)])))
         assert peak <= 0.91 * 16 * 1024**2
 
     def test_evolve_report_footprint_at_a_million_samples(self):
         """The samples are taken in blocks and a chunk in batches, so no work array grows with T:
-        at N = 8 and 10^6 samples the peak stays within 4 MiB of the 3 x T report itself."""
+        at N = 8 and 10^6 samples the peak stays within 4 MiB of the T-long row itself."""
         cfg = WellConfig(N=8)
         times = np.linspace(0.0, 3.0 * revival_time(cfg), 10**6)
         peak, out = self._peak(lambda: _position_evolution_checks(cfg, times))

@@ -3,15 +3,16 @@ shift-form Fock layer (bases of at most 125 states, and occupation
 densities bit for bit at every t), the O(N^2) commutator report (N <= 200
 against the full products, N <= 300 bit for bit against the report on
 parity blocks sliced whole, and its trace against the paired sum at
-scales over 1e+-300), the phase-exponent groups of the
+scales over 1e+-300), the largest change over the parity block B of the
 `evolve` and `revival` scenarios (N <= 128 against the dense x(t), N <= 300
-bit for bit against both phases of every group, whatever the first chunk
-of the stop rule and on grids near t = 0, and N <= 600 bit for bit against
-the mask-and-sort groups), the parity blocks (N <= 300 bit for bit
-against the whole closed forms), the panel-factorised sine
+bit for bit against both phases of every phase group, whatever the first
+chunk of the stop rule and on grids near t = 0), the parity blocks (N <= 300
+bit for bit against the whole closed forms), the panel-factorised sine
 projection (N <= 512), and exact identities of the well: the rank-2 wall
 force, the fractional revivals at t_r/4 and at random coprime p/q t_r with
-q <= 12 (phases and position space), and parity selection.
+q <= 12 (phases and position space), parity selection, and the parabola
+x (L - x): its exact sine coefficients and the truncation gaps of <H>, <H^2>
+and ||P a||^2 / 2m.
 
 The example sequence is fixed (`derandomize`), so every run of the suite
 tests the same states.
@@ -40,6 +41,7 @@ from matrixwell import (
     check_algebra,
     density_expectation,
     ehrenfest_report,
+    eigen_energy,
     force_matrix,
     quadrature_rule,
     revival_time,
@@ -61,7 +63,6 @@ from oracles import (
     heisenberg_series,
     parity_commutator_report,
     product_commutator_report,
-    sorted_phase_groups,
     two_phase_evolution_checks,
 )
 
@@ -312,18 +313,18 @@ def test_evolve_report_matches_dense_evolution(flags, start, span, steps):
     st.integers(2, 40),
 )
 def test_evolve_checks_match_two_phase_loop_bitwise(scales, n, start, span, steps):
-    """One exponential per phase group, largest peaks first, gives the largest change and the
-    Hermiticity defect of both exponentials of every group bit for bit, on grids that may start
-    before t = 0; the Frobenius drift is exactly +0.0, where the groups' own sum rounds within
-    N eps ||x(0)||_F."""
+    """One exponential per entry of B, largest |x_kl| first, gives the largest change of both
+    exponentials of every phase group bit for bit, on grids that may start before t = 0; the
+    groups' Hermiticity defect is exactly +0.0, as the evolve report writes it, and their
+    Frobenius drift, written as +0.0 too, rounds within N eps ||x(0)||_F."""
     L, m, hbar = scales
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
     t_r = revival_time(cfg)
     times = np.linspace(start * t_r, (start + span) * t_r, steps)
     got = _position_evolution_checks(cfg, times)
     want = two_phase_evolution_checks(cfg, times)
-    np.testing.assert_array_equal(got[[0, 2]].view(np.uint64), want[[0, 2]].view(np.uint64))
-    np.testing.assert_array_equal(got[1:].view(np.uint64), np.zeros((2, steps), dtype=np.uint64))
+    np.testing.assert_array_equal(got.view(np.uint64), want[0].view(np.uint64))
+    np.testing.assert_array_equal(want[2].view(np.uint64), np.zeros(steps, dtype=np.uint64))
     assert np.all(want[1] <= _drift_bound(cfg))
 
 
@@ -336,16 +337,16 @@ def test_evolve_checks_match_two_phase_loop_bitwise(scales, n, start, span, step
     st.integers(1, 4),
 )
 def test_evolve_stop_rule_at_chunk_edges(scales, n, first, last, per_quarter):
-    """With a first chunk of one group, and of more than all G groups, the largest change is the
-    all-groups loop's bit for bit, on grids from first/4 t_r to last/4 t_r that pass through 0,
-    t_r/4, t_r/2 and t_r, where the groups' changes tie or are all rounding."""
+    """With a first chunk of one entry, and of more than all ceil(N/2) floor(N/2) entries of B, the
+    largest change is the all-groups loop's bit for bit, on grids from first/4 t_r to last/4 t_r
+    that pass through 0, t_r/4, t_r/2 and t_r, where the changes tie or are all rounding."""
     L, m, hbar = scales
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
     times = revival_time(cfg) * (np.arange(first * per_quarter, last * per_quarter + 1) / (4 * per_quarter))
     want = two_phase_evolution_checks(cfg, times)[0]
-    for chunk in (1, len(operators._position_phase_groups(cfg)[0]) + 1):
+    for chunk in (1, -(-n // 2) * (n // 2) + 1):
         with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
-            got = _position_evolution_checks(cfg, times)[0]
+            got = _position_evolution_checks(cfg, times)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -359,8 +360,8 @@ def test_evolve_stop_rule_at_chunk_edges(scales, n, first, last, per_quarter):
 )
 def test_evolve_checks_near_zero_match_two_phase_loop_bitwise(scales, n, decade, steps, mirrored):
     """Near t = 0, where a change is about p |d| omega_1 t, the bound min(2 p, |w t| S + 2 eps p)
-    closes samples after few groups; the largest change is still the all-groups loop's bit for bit,
-    with a first chunk of one group (a check after every group) and of the default size, on grids
+    closes samples after few entries; the largest change is still the all-groups loop's bit for bit,
+    with a first chunk of one entry (a check after every entry) and of the default size, on grids
     from 0 (or from -t_end) to t_end = 10^decade t_r."""
     L, m, hbar = scales
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
@@ -369,21 +370,8 @@ def test_evolve_checks_near_zero_match_two_phase_loop_bitwise(scales, n, decade,
     want = two_phase_evolution_checks(cfg, times)[0]
     for chunk in (1, operators._FIRST_CHUNK):
         with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
-            got = _position_evolution_checks(cfg, times)[0]
+            got = _position_evolution_checks(cfg, times)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@PROPERTY
-@given(st.floats(-12.0, 3.0).map(lambda e: 10.0**e), st.integers(2, 600))
-@example(1e-9, 517)  # a nanometre well, a few groups tied in peak
-def test_phase_groups_match_mask_and_sort_bitwise(L, n):
-    """The groups from the divisor structure |k^2 - l^2| = (l - k)(l + k), each peak at its
-    smallest l - k, are those of the N x N parity mask and the sort of every exponent bit for bit:
-    the same exponents, peaks and order, ties included.  Only L scales the peaks."""
-    cfg = WellConfig(L=L, N=n)
-    got, want = operators._position_phase_groups(cfg), sorted_phase_groups(cfg)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
 
 @PROPERTY
@@ -602,3 +590,35 @@ def test_sine_coefficients_match_direct_sines(L, n, kind, data):
     assert got_norm == want_norm
     scale = np.sqrt(2.0 / L) * np.sum(np.abs(w * fx))
     assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * (1 + n * np.pi) * scale
+
+
+@PROPERTY
+@given(st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=3, max_size=3))
+def test_parabola_identities(scales):
+    """psi = sqrt(30/L^5) x (L - x), whose psi'''' = 0 though <H^2> = 30 in units of hbar^2/(m L^2)
+    squared (Bonneau, Faraut & Valent 2001), at random scales and N = 50, 200 and 800.
+
+    Its exact coefficients are a_n = 8 sqrt(15)/(n pi)^3 for odd n and 0 for even n.  With
+    E_n = n^2 pi^2 / 2 in units of hbar^2/(m L^2), |a_n|^2 E_n = 480/(pi n)^4 and
+    |a_n|^2 E_n^2 = 240/(pi n)^2, so the sums over n <= N miss tails with
+    N^3 (5 - sum |a_n|^2 E_n) -> 80/pi^4 and N (30 - sum |a_n|^2 E_n^2) -> 120/pi^2, each with
+    a 1/N^2 correction.  ||P a||^2 / 2m with the truncated P falls short of <H> = 5 by about
+    60/(pi^2 N), with a 1/N^2 correction: the wall-slope law (4 hbar^2/(L^2 N)) (|u^T a|^2 +
+    |v^T a|^2) for <p^2>, with |u^T a|^2 + |v^T a|^2 = 30/pi^2.  The <H> gap is a difference of
+    two sums near 5, so it is read within the rounding of such a sum, 40 eps, times N^3.
+    """
+    L, m, hbar = scales
+    eps = np.finfo(float).eps
+    for n in (50, 200, 800):
+        cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
+        a, _ = sine_coefficients(cfg, lambda x: math.sqrt(30.0 / L**5) * x * (L - x))
+        k = cfg.mode_numbers()
+        exact = np.where(k % 2 == 1, 8.0 * math.sqrt(15.0) / (k * math.pi) ** 3, 0.0)
+        assert np.abs(a - exact).max() <= 1e-15
+        unit = hbar**2 / (m * L**2)
+        energy = np.array([eigen_energy(cfg, int(j)) for j in k]) / unit
+        weight = np.abs(a) ** 2
+        assert abs(n**3 * (5.0 - weight @ energy) - 80.0 / math.pi**4) <= 2.0 / n**2 + 40 * eps * n**3
+        assert abs(n * (30.0 - weight @ energy**2) - 120.0 / math.pi**2) <= 5.0 / n**2
+        kinetic = np.linalg.norm(build_momentum(cfg).entries @ a) ** 2 / (2.0 * m) / unit
+        assert abs(n * (5.0 - kinetic) - 60.0 / math.pi**2) <= 10.0 / n
