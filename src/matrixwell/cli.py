@@ -374,8 +374,8 @@ def _build_state(rc: RunConfig) -> StateVector:
     raise ConfigError(f"unknown state kind {kind!r}", field="state")
 
 
-# Every runner returns (names, columns, diagnostics): the table as one 1-D
-# column per name, in row order, for reports.render_csv / render_json.
+# Every runner returns (names, columns, diagnostics): the table as one column
+# per name, 1-D or (values, index), in row order, for reports.render_csv / render_json.
 
 
 def _one_row(row: dict, diagnostics: dict):
@@ -387,13 +387,22 @@ def _one_row(row: dict, diagnostics: dict):
 
 
 def _run_elements(rc: RunConfig):
+    """Every column as (values, index): B and Q hold each k + l odd entry once, and their int32 slots,
+    put in mode order, index x symmetrically and p/i antisymmetrically (a negative index negates)."""
     n = rc.well.N
     b, q = _parity_blocks(rc.well, "x", "p/i")
-    x, p_over_i = _natural_order(b, 1.0, np.zeros((n, n))), _natural_order(q, -1.0, np.zeros((n, n)))
-    np.fill_diagonal(x, rc.well.L / 2.0)
-    k = np.repeat(np.arange(1, n + 1), n)
-    l = np.tile(np.arange(1, n + 1), n)
-    columns = [k, l, x.ravel(), np.zeros(n * n), p_over_i.ravel()]  # p is imaginary
+    slots = np.arange(b.size, dtype=np.int32).reshape(b.shape)
+    x = _natural_order(slots + 2, 1, np.zeros((n, n), np.int32))  # after 0 and the diagonal's L/2
+    np.fill_diagonal(x, 1)
+    p_over_i = _natural_order(slots + 1, -1, np.zeros((n, n), np.int32))
+    modes, mode_slots = np.arange(1, n + 1), np.arange(n, dtype=np.int32)
+    columns = [
+        (modes, np.repeat(mode_slots, n)),
+        (modes, np.tile(mode_slots, n)),
+        (np.r_[0.0, rc.well.L / 2.0, b.ravel()], x.ravel()),
+        (np.zeros(1), np.zeros(n * n, np.int32)),  # p is imaginary
+        (np.r_[0.0, q.ravel()], p_over_i.ravel()),
+    ]
     return ["k", "l", "x", "p_re", "p_im"], columns, {"dim": n}
 
 
@@ -407,7 +416,8 @@ def _run_evolve(rc: RunConfig):
     times = rc.grid.times()
     # frobenius_drift and hermiticity_defect are exact zeros: each phase is unimodular and pairs with its conjugate
     zero = np.zeros(len(times))
-    columns = [times, _position_evolution_checks(rc.well, times), zero, zero]
+    (b,) = _parity_blocks(rc.well, "x")
+    columns = [times, _position_evolution_checks(rc.well, times, b), zero, zero]
     return list(_EVOLVE_COLUMNS), columns, {"revival_time": revival_time(rc.well)}
 
 
@@ -420,8 +430,9 @@ def _run_series(rc: RunConfig):
 def _run_revival(rc: RunConfig):
     cfg = rc.well
     t_r = revival_time(cfg)
-    change = _position_evolution_checks(cfg, np.array([t_r]))[0]
-    dx0, dxr = _position_spread(_build_state(rc), cfg, np.array([0.0, t_r]))
+    (b,) = _parity_blocks(cfg, "x")  # the one fill, for the largest change and for the spread
+    change = _position_evolution_checks(cfg, np.array([t_r]), b)[0]
+    dx0, dxr = _position_spread(_build_state(rc), cfg, np.array([0.0, t_r]), b)
     row = {
         "t_r": t_r,
         "max_position_change": float(change),

@@ -316,9 +316,8 @@ def _moments(w: np.ndarray, c: np.ndarray):
     return np.real(np.sum(cc * w, axis=0)), np.sum(np.abs(w) ** 2, axis=0)
 
 
-def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray) -> np.ndarray:
-    """Delta x(t) at each time, from one product X C over the Schrodinger columns."""
-    (b,) = _parity_blocks(cfg, "x")
+def _position_spread(state: StateVector, cfg: WellConfig, times: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Delta x(t) at each time, from one product X C over the Schrodinger columns; `b` is x's parity block B."""
     _, c = _schrodinger_columns(state, cfg, times)
     mean, second = _moments(_parity_product(b, c, cfg.L / 2.0), c)
     return _std_from_moments(second, mean, "dx(t)")

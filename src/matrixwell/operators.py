@@ -200,8 +200,10 @@ def evolve(op: OperatorMatrix, cfg: WellConfig, t: float) -> OperatorMatrix:
     return _handover(out)
 
 
-def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray:
+def _position_evolution_checks(cfg: WellConfig, times: np.ndarray, b: np.ndarray) -> np.ndarray:
     """max|x(t) - x(0)| at each time, what `evolve(build_position(cfg), cfg, t)` gives, without forming x(t).
+
+    `b` is x's parity block B, `_parity_blocks(cfg, "x")[0]`.
 
     Off the diagonal x(t)_kl = x_kl e^{i d w t} with d = k^2 - l^2 is nonzero
     only for k + l odd, the entries of the parity block B = x[odd, even],
@@ -229,10 +231,8 @@ def _position_evolution_checks(cfg: WellConfig, times: np.ndarray) -> np.ndarray
     as many open samples at a time as keep its work arrays within
     _ROW_BLOCK_ELEMENTS entries, from _SAMPLE_BLOCK samples at a time.
     """
-    (b,) = _parity_blocks(cfg, "x")
     order = np.argsort(b, axis=None)  # x_kl < 0 off the diagonal: the largest |x_kl| first
     peak = -b.ravel()[order]
-    del b
     n2 = np.arange(1, cfg.N + 1, dtype=np.int64) ** 2
     exponents = np.abs(np.subtract.outer(n2[0::2], n2[1::2])).ravel()[order]  # |d| in parity order
     del order

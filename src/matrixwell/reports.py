@@ -1,12 +1,14 @@
 """Deterministic CSV and JSON emission for scenario reports.
 
-A report table arrives as columns: one 1-D sequence per column name, all of
-one length, in row order.  Each column is formatted once per distinct value
-(`np.unique`), with the separator that follows it, and the cells of the
-whole table are joined once, so a table with parity zeros or symmetric
-entries formats far fewer values than it has cells.
+A report table arrives as columns, all of one length, in row order.  A
+column is a 1-D sequence, or a pair (values, index) whose cell i is
+values[index[i]], and values[-index[i]] negated where index[i] < 0, so a
+table with parity zeros or symmetric entries hands over each value once.
+Each column's values are formatted once per distinct value (`np.unique`),
+with the separator that follows it; a negated cell is its value's text with
+the sign flipped.  The cells of the whole table are joined once.
 A column holds floats, integers (int64) or strings; booleans and anything
-else are refused.
+else are refused, and so is a negative index into strings.
 
 Floats are written with fixed significant digits (17 in JSON, 12 in CSV)
 so identical runs produce byte-identical files; 17 significant digits
@@ -40,12 +42,13 @@ def _json_value(v) -> str:
     raise TypeError(f"cannot serialize {type(v).__name__} deterministically")
 
 
-def _column_cells(values, digits: int, quote: bool, sep: str = "") -> list[str]:
-    """The cells of one column, each followed by `sep`, each distinct value formatted once.
+def _column_cells(column, digits: int, quote: bool, sep: str = "") -> list[str]:
+    """The cells of one column, plain or (values, index), each followed by `sep`, each distinct value formatted once.
 
-    -0.0 and 0.0 are one distinct value; both print as 0.  `quote` writes
-    strings as JSON string literals.
+    -0.0 and 0.0 are one distinct value; both print as 0, and so does a
+    negated zero.  `quote` writes strings as JSON string literals.
     """
+    values, index = column if isinstance(column, tuple) else (column, None)
     a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"a report column must be one-dimensional, got shape {a.shape}")
@@ -65,21 +68,35 @@ def _column_cells(values, digits: int, quote: bool, sep: str = "") -> list[str]:
         text = [(json.dumps(v) if quote else v) + sep for v in distinct.tolist()]
     else:
         text = [str(v) + sep for v in distinct.tolist()]
+    if index is not None:
+        negative = np.less(index, 0)
+        inverse = inverse[np.abs(index)]
+        if negative.any():
+            if kind == "U":
+                raise TypeError("a string column cannot be negated")
+            zero = "0" + sep
+            text += [t if t == zero else t[1:] if t[0] == "-" else "-" + t for t in text]
+            inverse[negative] += len(distinct)  # the flipped texts follow the plain ones
     return np.array(text, dtype=object)[inverse.ravel()].tolist()
 
 
 def _table(names, columns, digits: int, quote: bool, seps: tuple[str, str]) -> str:
-    """The cells of every row, joined once: seps[0] after each cell, seps[1] after a row's last."""
+    """The cells of every row, joined once: seps[0] after each cell, seps[1] after a row's last.
+
+    The cells are formed one column at a time, straight into the table.
+    """
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} column names for {len(columns)} columns")
-    width = len(columns)
-    cells = [_column_cells(c, digits, quote, seps[i == width - 1]) for i, c in enumerate(columns)]
-    if len({len(c) for c in cells}) > 1:
-        raise ValueError(f"report columns differ in length: {[len(c) for c in cells]}")
-    table = [""] * (width * len(cells[0]) if cells else 0)
-    for i, c in enumerate(cells):
-        table[i::width] = c
-    return "".join(table)
+    width, table = len(columns), None
+    for i, column in enumerate(columns):
+        cells = _column_cells(column, digits, quote, seps[i == width - 1])
+        if table is None:
+            table = [""] * (width * len(cells))
+        if width * len(cells) != len(table):
+            raise ValueError(f"report columns differ in length: {len(table) // width} and {len(cells)}")
+        table[i::width] = cells
+        del cells  # before the next column's cells are formed
+    return "".join(table or ())
 
 
 def render_json(config: dict, names, columns, diagnostics: dict) -> str:

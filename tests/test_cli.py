@@ -486,6 +486,28 @@ def test_series_scenarios_skip_the_complex_builders(args, monkeypatch, tmp_path)
     assert run_cli([*args, "--N", "100"], out=tmp_path / "report.csv") == 0
 
 
+# a state for the scenarios that need one
+STATES = {"spread": "modes:1,2", "ehrenfest": "gaussian:center=0.4,width=0.1"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_no_scenario_forms_a_dense_operator(scenario, fmt, monkeypatch, tmp_path):
+    """No CLI path builds x or p, multiplies operators (P @ P) or wraps any N x N matrix as an
+    OperatorMatrix: its energies and p^2 moments come from the diagonal H, the parity blocks and ||P C||^2."""
+
+    def refuse(*args):
+        raise AssertionError("a dense operator was formed")
+
+    for module in (operators, dynamics):
+        monkeypatch.setattr(module, "build_position", refuse)
+        monkeypatch.setattr(module, "build_momentum", refuse)
+    monkeypatch.setattr(operators.OperatorMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(operators.OperatorMatrix, "__post_init__", refuse)
+    state = ["--state", STATES[scenario]] if scenario in STATES else []
+    assert run_cli([scenario, "--N", "12", *state], out=tmp_path / "report", fmt=fmt) == 0
+
+
 class TestDeterminismAndRoundTrip:
     @pytest.mark.parametrize(
         "args",

@@ -33,6 +33,7 @@ from matrixwell import (
     xt_x0_commutator,
 )
 from matrixwell.dynamics import _position_spread
+from matrixwell.operators import _parity_blocks
 from matrixwell.well import eigenfunction
 
 from oracles import gaussian_whole_line_coefficients, two_mode_dx_truncated, x2_eigen_quad
@@ -372,7 +373,8 @@ class TestSeriesFootprint:
         """0.29 dense complex matrices; the real x peaked at 0.64, the complex x at 1.11."""
         cfg = WellConfig(N=1024)
         times = np.array([0.0, revival_time(cfg)])
-        assert self._peak(lambda: _position_spread(two_mode_state(cfg.N), cfg, times)) <= 0.4
+        state = two_mode_state(cfg.N)
+        assert self._peak(lambda: _position_spread(state, cfg, times, *_parity_blocks(cfg, "x"))) <= 0.4
 
 
 class TestShortTimeExpansion:

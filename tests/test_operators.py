@@ -27,7 +27,7 @@ from matrixwell import (
 )
 from matrixwell import operators
 from matrixwell.cli import _run_elements, _run_evolve, _run_revival, parse_config
-from matrixwell.operators import _position_evolution_checks
+from matrixwell.operators import _parity_blocks, _position_evolution_checks
 from matrixwell.well import _MAX_DENSE_BYTES
 from oracles import closed_form_matrices
 
@@ -147,8 +147,8 @@ class TestSizeCap:
     @pytest.mark.parametrize("n", [2, 7, 250])
     def test_each_entry_formed_once(self, n):
         """The k + l odd entries are formed once, as the ceil(N/2) floor(N/2) of each parity block a
-        run needs: elements forms B and Q, build_position and evolve B alone, revival B for its
-        largest change and B for its spread, and build_momentum Q alone."""
+        run needs: elements forms B and Q, build_position and evolve B alone, revival B once for
+        both its largest change and its spread, and build_momentum Q alone."""
         formed = {}
 
         def counting(form, helper):
@@ -164,7 +164,7 @@ class TestSizeCap:
             (lambda: build_position(WellConfig(N=n)), {"x": block}),
             (lambda: build_momentum(WellConfig(N=n)), {"p/i": block}),
             (lambda: _run_evolve(parse_config(["evolve", "--N", str(n)])), {"x": block}),
-            (lambda: _run_revival(parse_config(["revival", "--N", str(n), "--state", "eigen:1"])), {"x": 2 * block}),
+            (lambda: _run_revival(parse_config(["revival", "--N", str(n), "--state", "eigen:1"])), {"x": block}),
         ]
         with (
             mock.patch.object(operators, "_position_offdiagonal", counting("x", operators._position_offdiagonal)),
@@ -278,6 +278,7 @@ class TestEvolve:
         return to evaluating every entry at every sample fails here without a timing."""
         cfg = WellConfig(N=200)
         interior = np.linspace(0.0, revival_time(cfg), 101)[1:-1]
+        (b,) = _parity_blocks(cfg, "x")
         real_exp, sizes = np.exp, []
 
         def counting_exp(z, *args, **kwargs):
@@ -285,7 +286,7 @@ class TestEvolve:
             return real_exp(z, *args, **kwargs)
 
         with mock.patch.object(np, "exp", counting_exp):
-            _position_evolution_checks(cfg, interior)
+            _position_evolution_checks(cfg, interior, b)
         assert 0 < sum(sizes) <= 0.05 * 100 * 100 * len(interior)
 
     def test_evolve_report_near_zero_exponentiates_few_groups(self):
@@ -294,6 +295,7 @@ class TestEvolve:
         at t = 0 no entry reaches np.exp."""
         cfg = WellConfig(N=200)
         times = np.linspace(0.0, 1e-6 * revival_time(cfg), 101)
+        (b,) = _parity_blocks(cfg, "x")
         real_exp, sizes = np.exp, []
 
         def counting_exp(z, *args, **kwargs):
@@ -301,9 +303,9 @@ class TestEvolve:
             return real_exp(z, *args, **kwargs)
 
         with mock.patch.object(np, "exp", counting_exp):
-            _position_evolution_checks(cfg, times[:1])
+            _position_evolution_checks(cfg, times[:1], b)
             assert sizes == []
-            _position_evolution_checks(cfg, times)
+            _position_evolution_checks(cfg, times, b)
         assert 0 < sum(map(np.prod, sizes)) <= 0.05 * 100 * 100 * len(times)
 
     def _peak(self, fn):
@@ -315,10 +317,11 @@ class TestEvolve:
             tracemalloc.stop()
 
     def test_evolve_report_peak_at_n_1024(self):
-        """At t_r, where every entry of B is exponentiated, the report peaks at 0.57 dense complex
-        matrices, within 0.91."""
+        """At t_r, where every entry of B is exponentiated, the fill of B and the report peak at 0.70
+        dense complex matrices, within 0.91."""
         cfg = WellConfig(N=1024)
-        peak, _ = self._peak(lambda: _position_evolution_checks(cfg, np.array([revival_time(cfg)])))
+        t_r = np.array([revival_time(cfg)])
+        peak, _ = self._peak(lambda: _position_evolution_checks(cfg, t_r, *_parity_blocks(cfg, "x")))
         assert peak <= 0.91 * 16 * 1024**2
 
     def test_evolve_report_footprint_at_a_million_samples(self):
@@ -326,7 +329,7 @@ class TestEvolve:
         at N = 8 and 10^6 samples the peak stays within 4 MiB of the T-long row itself."""
         cfg = WellConfig(N=8)
         times = np.linspace(0.0, 3.0 * revival_time(cfg), 10**6)
-        peak, out = self._peak(lambda: _position_evolution_checks(cfg, times))
+        peak, out = self._peak(lambda: _position_evolution_checks(cfg, times, *_parity_blocks(cfg, "x")))
         assert peak <= out.nbytes + 4 * 2**20
 
 

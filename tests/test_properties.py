@@ -321,7 +321,7 @@ def test_evolve_checks_match_two_phase_loop_bitwise(scales, n, start, span, step
     cfg = WellConfig(L=L, m=m, hbar=hbar, N=n)
     t_r = revival_time(cfg)
     times = np.linspace(start * t_r, (start + span) * t_r, steps)
-    got = _position_evolution_checks(cfg, times)
+    got = _position_evolution_checks(cfg, times, *_parity_blocks(cfg, "x"))
     want = two_phase_evolution_checks(cfg, times)
     np.testing.assert_array_equal(got.view(np.uint64), want[0].view(np.uint64))
     np.testing.assert_array_equal(want[2].view(np.uint64), np.zeros(steps, dtype=np.uint64))
@@ -346,7 +346,7 @@ def test_evolve_stop_rule_at_chunk_edges(scales, n, first, last, per_quarter):
     want = two_phase_evolution_checks(cfg, times)[0]
     for chunk in (1, -(-n // 2) * (n // 2) + 1):
         with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
-            got = _position_evolution_checks(cfg, times)
+            got = _position_evolution_checks(cfg, times, *_parity_blocks(cfg, "x"))
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -370,7 +370,7 @@ def test_evolve_checks_near_zero_match_two_phase_loop_bitwise(scales, n, decade,
     want = two_phase_evolution_checks(cfg, times)[0]
     for chunk in (1, operators._FIRST_CHUNK):
         with mock.patch.object(operators, "_FIRST_CHUNK", chunk):
-            got = _position_evolution_checks(cfg, times)
+            got = _position_evolution_checks(cfg, times, *_parity_blocks(cfg, "x"))
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -438,7 +438,7 @@ def test_position_spread_matches_dispersion_of_evolved_x(drawn, periods):
     times = np.array(periods) * revival_time(cfg)
     x = build_position(cfg)
     want = [dispersion(state, evolve(x, cfg, float(t))) for t in times]
-    np.testing.assert_allclose(_position_spread(state, cfg, times), want, rtol=1e-12)
+    np.testing.assert_allclose(_position_spread(state, cfg, times, *_parity_blocks(cfg, "x")), want, rtol=1e-12)
 
 
 @PROPERTY

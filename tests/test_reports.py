@@ -1,17 +1,20 @@
 """The column renderer against the row-at-a-time oracle renderer.
 
 `reports.render_csv`/`render_json` format each column once per distinct
-value; `oracles.row_render_csv`/`row_render_json` format every cell on its
-own, as the reports were written before.  The two must agree byte for byte.
+value, of a plain column or of the values of a (values, index) column;
+`oracles.row_render_csv`/`row_render_json` format every cell on its own, as
+the reports were written before.  The two must agree byte for byte.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrixwell import WellConfig, momentum_element, position_element
-from matrixwell.cli import parse_config, run
+from matrixwell import momentum_element, position_element, reports
+from matrixwell.cli import _run_elements, parse_config, run
 from matrixwell.reports import render_csv, render_json
 
 from oracles import row_render_csv, row_render_json
@@ -67,6 +70,60 @@ def test_json_columns_equal_row_oracle(table, config):
     assert render_json(config, names, arrays, diagnostics) == want
 
 
+@st.composite
+def factored_tables(draw):
+    """Column names and (values, index) columns, with the cells they stand for as Python scalars.
+
+    Values may repeat (drawn from a small pool) and the index picks them in
+    any order; a negative index -j, j >= 1, negates values[j], for floats
+    and ints only.
+    """
+    rows = draw(st.integers(0, 12))
+    names, columns, cells = [], [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from([FLOATS, INTS, TEXT]))
+        if draw(st.booleans()):
+            kind = st.sampled_from(draw(st.lists(kind, min_size=1, max_size=3)))
+        values = draw(st.lists(kind, min_size=1, max_size=6))
+        low = 0 if isinstance(values[0], str) else 1 - len(values)
+        index = draw(st.lists(st.integers(low, len(values) - 1), min_size=rows, max_size=rows))
+        names.append(draw(st.text(st.characters(min_codepoint=97, max_codepoint=122), min_size=1)))
+        columns.append((np.asarray(values), np.asarray(index, dtype=np.int32)))
+        cells.append([values[i] if i >= 0 else -values[-i] for i in index])
+    return names, columns, cells
+
+
+@PROPERTY
+@given(factored_tables())
+def test_factored_columns_equal_row_oracle_on_gathered_cells(table):
+    names, columns, cells = table
+    assert render_csv(names, columns) == row_render_csv(names, _rows(cells))
+    diagnostics = {"dim": len(cells[0])}
+    assert render_json({}, names, columns, diagnostics) == row_render_json({}, names, _rows(cells), diagnostics)
+
+
+def test_factored_and_plain_columns_mix():
+    values, index = np.array([0.0, 2.5, -0.0, 7.0]), np.array([1, -1, 0, -2, 2, -3, 3])
+    plain = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    want = [[1.0, 2.5], [2.0, -2.5], [3.0, 0.0], [4.0, 0.0], [5.0, 0.0], [6.0, -7.0], [7.0, 7.0]]
+    assert render_csv(["a", "b"], [plain, (values, index)]) == row_render_csv(["a", "b"], want)
+    assert "-0" not in render_json({}, ["b"], [(values, index)], {})
+
+
+def test_signed_index_on_strings_refused():
+    with pytest.raises(TypeError, match="string column"):
+        render_csv(["s"], [(np.array(["a", "b"]), np.array([0, -1]))])
+
+
+def test_factored_column_checks():
+    with pytest.raises(ValueError, match="NaN or infinities"):
+        render_csv(["a"], [(np.array([1.0, np.nan]), np.array([0, 0]))])  # values are checked, used or not
+    with pytest.raises(TypeError, match="boolean"):
+        render_csv(["a"], [(np.array([True]), np.array([0, 0]))])
+    with pytest.raises(ValueError, match="differ in length"):  # a pair counts len(index) cells, not len(values)
+        render_csv(["a", "b"], [[1.0, 2.0], (np.array([1.0, 2.0]), np.array([0, 1, 1]))])
+
+
 def _csv(names, columns):
     return render_csv(names, columns)
 
@@ -107,21 +164,38 @@ def test_ragged_columns_refused():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_elements_report_equals_row_oracle(tmp_path, fmt):
-    """Every (k, l) cell from the scalar closed forms of `well`, rendered cell by cell."""
-    cfg = WellConfig(L=0.731, hbar=1.37, N=40)
-    rows = []
-    for k in range(1, cfg.N + 1):
-        for l in range(1, cfg.N + 1):
-            p = momentum_element(cfg, k, l)
-            rows.append([k, l, position_element(cfg, k, l), p.real, p.imag])
+    """Every (k, l) cell from the scalar closed forms of `well`, rendered cell by cell, at the unit
+    scale and another; odd N gives parity blocks with one row more than columns."""
     out = tmp_path / f"elements.{fmt}"
-    rc = parse_config(
-        ["elements", "--L", "0.731", "--hbar", "1.37", "--N", "40", "--format", fmt, "--out", str(out)]
-    )
-    assert run(rc) == 0
     names = ["k", "l", "x", "p_re", "p_im"]
-    if fmt == "csv":
-        want = row_render_csv(names, rows)
-    else:
-        want = row_render_json(rc.echo, names, rows, {"dim": cfg.N})
-    assert out.read_text(encoding="utf-8") == want
+    for scales in ((), ("--L", "0.731", "--hbar", "1.37")):
+        for n in (2, 3, 40, 41):
+            rc = parse_config(["elements", *scales, "--N", str(n), "--format", fmt, "--out", str(out)])
+            rows = []
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    p = momentum_element(rc.well, k, l)
+                    rows.append([k, l, position_element(rc.well, k, l), p.real, p.imag])
+            assert run(rc) == 0
+            if fmt == "csv":
+                want = row_render_csv(names, rows)
+            else:
+                want = row_render_json(rc.echo, names, rows, {"dim": n})
+            assert out.read_text(encoding="utf-8") == want, (scales, n)
+
+
+@pytest.mark.parametrize("n", [2, 7, 250])
+def test_elements_sorts_only_the_block_entries(n):
+    """The distinct-value sort of every elements column sees at most the ceil(N/2) floor(N/2)
+    entries of one parity block and the two values 0 and L/2, never the N^2 cells."""
+    names, columns, diagnostics = _run_elements(parse_config(["elements", "--N", str(n)]))
+    real_unique, sizes = np.unique, []
+
+    def counting_unique(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real_unique(a, *args, **kwargs)
+
+    with mock.patch.object(reports.np, "unique", counting_unique):
+        render_csv(names, columns)
+        render_json({}, names, columns, diagnostics)
+    assert len(sizes) == 2 * len(names) and max(sizes) <= -(-n // 2) * (n // 2) + 2
