@@ -47,7 +47,7 @@ from .operators import (
     _position_evolution_checks,
     canonical_commutator_report,
 )
-from .reports import atomic_write_text, render_csv, render_json
+from .reports import _csv_pieces, _json_pieces, atomic_write_text
 from .well import _MAX_DENSE_BYTES, WellConfig, _check_dense, quadrature_rule
 
 log = logging.getLogger("matrixwell")
@@ -375,7 +375,7 @@ def _build_state(rc: RunConfig) -> StateVector:
 
 
 # Every runner returns (names, columns, diagnostics): the table as one column
-# per name, 1-D or (values, index), in row order, for reports.render_csv / render_json.
+# per name, 1-D or (values, index), in row order, for the reports module.
 
 
 def _one_row(row: dict, diagnostics: dict):
@@ -487,16 +487,27 @@ _RUNNERS = {
 
 
 def run(rc: RunConfig) -> int:
-    """Execute a validated RunConfig; write its report; return the exit status."""
+    """Execute a validated RunConfig; write its report, a block of rows at a time; return the exit status."""
     names, columns, diagnostics = _RUNNERS[rc.scenario](rc)
+    # every check of the report runs here, before its first piece of text is formed
     if rc.options["format"] == "json":
-        text = render_json(rc.echo, names, columns, diagnostics)
+        pieces = _json_pieces(rc.echo, names, columns, diagnostics)
     else:
-        text = render_csv(names, columns)
+        pieces = _csv_pieces(names, columns)
     if rc.options["out"]:
-        atomic_write_text(rc.options["out"], text)
-    else:
-        sys.stdout.write(text)
+        atomic_write_text(rc.options["out"], pieces)
+        return 0
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone and the report is cut short; closing stdout here drops what is still
+        # buffered, so that the flush at exit cannot meet the closed pipe a second time
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        raise
     return 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matrixwell import TimeGrid, WellConfig, build_momentum, build_position, dynamics, operators, revival_time
+from matrixwell import TimeGrid, WellConfig, build_momentum, build_position, cli, dynamics, operators, revival_time
 from matrixwell.cli import OPTIONS, SCENARIOS, RunConfig, main, parse_config, run
 from matrixwell.errors import ConfigError
 from matrixwell.operators import _parity_blocks
@@ -596,6 +596,41 @@ class TestFailureModes:
         assert code == 2  # packet needs far more modes than N=4
         assert not out.exists()
         assert not out.with_name(out.name + ".tmp").exists()
+
+    ROWS = 3 * 2**15  # several blocks of rows, so a streamed report could write the first before the last is seen
+    BAD_TABLES = {
+        "nan-in-last-column": (["a", "b"], [np.arange(ROWS, dtype=float), np.r_[np.ones(ROWS - 1), np.nan]], {}),
+        "nan-in-diagnostics": (["a", "b"], [np.arange(ROWS, dtype=float), np.ones(ROWS)], {"integral": math.nan}),
+        "ragged-columns": (["a", "b"], [np.arange(ROWS, dtype=float), np.ones(ROWS - 1)], {}),
+    }
+
+    @pytest.mark.parametrize("sink", ["stdout", "out"])
+    @pytest.mark.parametrize(
+        "bad, fmt",
+        [(bad, fmt) for bad in BAD_TABLES for fmt in ("csv", "json") if (bad, fmt) != ("nan-in-diagnostics", "csv")],
+    )
+    def test_refused_report_writes_nothing(self, bad, fmt, sink, monkeypatch, tmp_path, capsys):
+        """Every check of a report runs before its first byte; CSV has no diagnostics to refuse."""
+        monkeypatch.setitem(cli._RUNNERS, "commutator", lambda rc: self.BAD_TABLES[bad])
+        out = tmp_path / "report.dat"
+        argv = ["commutator", "--N", "8", "--format", fmt] + (["--out", str(out)] if sink == "out" else [])
+        with pytest.raises(ValueError, match="NaN or infinities|differ in length"):
+            run(parse_config(argv))
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_pipe_is_an_io_error(self):
+        """A reader that stops early cuts the report short: exit 1 with the io diagnostic alone on stderr,
+        no traceback and no 'Exception ignored' from the flush at exit."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        argv = ["elements", "--N", "600", "--L", "1", "--m", "1", "--hbar", "1"]  # about 25 MB of CSV
+        proc = subprocess.Popen([sys.executable, "-m", "matrixwell", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"k,l,x,p_re,p_im\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err.decode().splitlines() == ['{"error": "[Errno 32] Broken pipe", "kind": "io"}']
 
     def test_config_line_without_equals_refused(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -1,11 +1,16 @@
 """The column renderer against the row-at-a-time oracle renderer.
 
 `reports.render_csv`/`render_json` format each column once per distinct
-value, of a plain column or of the values of a (values, index) column;
-`oracles.row_render_csv`/`row_render_json` format every cell on its own, as
-the reports were written before.  The two must agree byte for byte.
+value, of the values of a (values, index) column or of a plain column
+within each block of rows; `oracles.row_render_csv`/`row_render_json`
+format every cell on its own, as the reports were written before.  The two
+must agree byte for byte, whatever the block size.  The CLI writes the same
+text a block at a time, and the guards at the end hold it to that.
 """
 
+import io
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrixwell import momentum_element, position_element, reports
+from matrixwell import RunReport, momentum_element, position_element, reports
 from matrixwell.cli import _run_elements, parse_config, run
 from matrixwell.reports import render_csv, render_json
 
@@ -199,3 +204,69 @@ def test_elements_sorts_only_the_block_entries(n):
         render_csv(names, columns)
         render_json({}, names, columns, diagnostics)
     assert len(sizes) == 2 * len(names) and max(sizes) <= -(-n // 2) * (n // 2) + 2
+
+
+def _with_cells(table):
+    names, columns = table
+    return names, [np.asarray(c) for c in columns], columns
+
+
+@PROPERTY
+@given(st.one_of(tables().map(_with_cells), factored_tables()), st.integers(1, 12))
+def test_reports_split_into_small_blocks_equal_row_oracle(table, block_cells):
+    """Blocks of a few rows give the bytes of one block: block edges, a short last block, the plain
+    columns' per-block distinct values and the JSON rows' closing bracket."""
+    names, columns, cells = table
+    diagnostics = {"dim": len(cells[0])}
+    with mock.patch.object(reports, "_BLOCK_CELLS", block_cells):
+        assert render_csv(names, columns) == row_render_csv(names, _rows(cells))
+        assert render_json({}, names, columns, diagnostics) == row_render_json({}, names, _rows(cells), diagnostics)
+
+
+class _Pieces(io.StringIO):
+    """A stdout that keeps each piece handed to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, s):
+        self.pieces.append(s)
+        return len(s)
+
+
+@pytest.mark.parametrize("fmt, row_end", [("csv", "\n"), ("json", "], [")], ids=["csv", "json"])
+def test_no_write_gets_more_than_one_block(fmt, row_end, monkeypatch):
+    """`elements` at N=250 reaches stdout a block of rows at a time, never as one whole text."""
+    n, rows_per_block = 250, reports._BLOCK_CELLS // 5
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(parse_config(["elements", "--N", str(n), "--format", fmt])) == 0
+    assert max(piece.count(row_end) for piece in stdout.pieces) <= rows_per_block
+    assert len(stdout.pieces) >= n * n / rows_per_block
+
+
+def _traced_peak(argv) -> int:
+    rc = parse_config(argv)
+    tracemalloc.start()
+    try:
+        assert run(rc) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_elements_footprint_at_n_600(tmp_path):
+    """30.2 MiB: the distinct texts of B and Q, and five int32 index matrices; the whole JSON text and
+    its cell list took it to 52.2 MiB."""
+    peak = _traced_peak(["elements", "--N", "600", "--format", "json", "--out", str(tmp_path / "e.json")])
+    assert peak <= 36 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_series_footprint_within_three_float_tables(fmt, tmp_path):
+    """2.0 (CSV) and 2.55 (JSON) times the float64 table at 20 000 steps; 5.7 and 6.8 with the whole text."""
+    steps = 20000
+    argv = ["spread", "--N", "8", "--state", "eigen:1", "--steps", str(steps), "--format", fmt]
+    peak = _traced_peak([*argv, "--out", str(tmp_path / f"s.{fmt}")])
+    assert peak <= 3 * 8 * len(RunReport.COLUMNS) * steps
