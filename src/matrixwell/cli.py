@@ -5,7 +5,8 @@
 Scenarios: elements, commutator, evolve, spread, ehrenfest, revival,
 fock-density, fock-algebra.  Flags, `--key value` or `--key=value`, override
 config-file values; the config file is flat `key = value` text with the same keys.
-Every option is declared once, in OPTIONS.  Identical configurations
+Every option is declared once, in OPTIONS, and every scenario once, in
+SCENARIOS, with the options it reads.  Identical configurations
 produce byte-identical output files.
 """
 
@@ -48,37 +49,16 @@ from .operators import (
     canonical_commutator_report,
 )
 from .reports import _csv_pieces, _json_pieces, atomic_write_text
-from .well import _MAX_DENSE_BYTES, WellConfig, _check_dense, quadrature_rule
+from .well import _MAX_DENSE_BYTES, _MIN_NORMAL, WellConfig, _check_dense, quadrature_rule
 
 log = logging.getLogger("matrixwell")
 
-SCENARIOS = (
-    "elements",
-    "commutator",
-    "evolve",
-    "spread",
-    "ehrenfest",
-    "revival",
-    "fock-density",
-    "fock-algebra",
-)
-FOCK = ("fock-density", "fock-algebra")
-GRID = ("evolve", "spread", "ehrenfest")
-WELL = tuple(s for s in SCENARIOS if s != "fock-algebra")  # fock-algebra's report depends on its basis alone
-DENSE = tuple(s for s in SCENARIOS if s not in FOCK)  # the scenarios that read N
 _EVOLVE_COLUMNS = ("t", "max_change_from_start", "frobenius_drift", "hermiticity_defect")
 _DENSITY_COLUMNS = ("x", "density")
-# The largest N^2 ulp(omega_1 |t|) a grid end may give, in radians.  Against 60-digit phases, the
-# phases n^2 omega_1 t, n <= N, err by at most 2.7 times it, so an accepted phase factor keeps about
-# six digits.  fock-density's t needs no floor: its occupation eigenstates do not depend on t.
+# The largest N^2 ulp(omega_1 |t|) a grid end may give, in radians.  The phases n^2 omega_1 t, n <= N,
+# err by less than 7.7 times it (3.3 seen against 60-digit phases), so an accepted phase factor keeps
+# about five digits.  fock-density's t needs no floor: its occupation eigenstates do not depend on t.
 _PHASE_RESOLUTION = 1e-6
-# the option that sets the rows of a scenario's float64 report table, and its columns
-_TABLE_ROWS = {
-    "evolve": ("steps", len(_EVOLVE_COLUMNS)),
-    "spread": ("steps", len(RunReport.COLUMNS)),
-    "ehrenfest": ("steps", len(RunReport.COLUMNS)),
-    "fock-density": ("positions", len(_DENSITY_COLUMNS)),
-}
 
 
 @dataclass(frozen=True)
@@ -87,40 +67,39 @@ class Option:
 
     `kind` is the converter for the text (float, int, str) or the tuple of
     allowed values.  A `default` of None means the value is worked out from
-    other options, or stays absent.  Only the listed `scenarios` read, check
-    and echo the option; the others ignore it.
+    other options, or stays absent.  Only the scenarios whose SCENARIOS row
+    lists the key read, check and echo the option; the others ignore it.
     """
 
     key: str
     kind: object
     default: object
-    scenarios: tuple
     help: str
     notice: bool = False  # log it when the default is taken
 
 
 OPTIONS = (
-    Option("L", float, 1.0, WELL, "well width", notice=True),
-    Option("m", float, 1.0, WELL, "particle mass", notice=True),
-    Option("hbar", float, 1.0, WELL, "action quantum", notice=True),
-    Option("N", int, 100, DENSE, "truncation dimension", notice=True),
-    Option("t-start", float, 0.0, GRID, "grid start"),
-    Option("t-end", float, None, GRID, "grid end; default one revival period"),
-    Option("steps", int, 101, GRID, "grid points; spread and ehrenfest need at least 3"),
-    Option("format", ("csv", "json"), "csv", SCENARIOS, "output format"),
+    Option("L", float, 1.0, "well width", notice=True),
+    Option("m", float, 1.0, "particle mass", notice=True),
+    Option("hbar", float, 1.0, "action quantum", notice=True),
+    Option("N", int, 100, "truncation dimension", notice=True),
+    Option("t-start", float, 0.0, "grid start"),
+    Option("t-end", float, None, "grid end; default one revival period"),
+    Option("steps", int, 101, "grid points; spread and ehrenfest need at least 3"),
+    Option("format", ("csv", "json"), "csv", "output format"),
     Option(
-        "state", str, None, ("spread", "ehrenfest", "revival"),
+        "state", str, None,
         "state spec: gaussian:center=..,width=..[,momentum=..] | eigen:n | modes:n1,n2,...;"
         " spread and ehrenfest need one; revival defaults to gaussian:center=L/2,width=L/20",
     ),
-    Option("block", int, None, ("commutator",), "interior block; default min(10, N//4), at least 1"),
-    Option("modes", int, 3, FOCK, "Fock modes M"),
-    Option("statistics", ("boson", "fermion"), "boson", FOCK, "particle statistics"),
-    Option("cutoff", int, 4, FOCK, "boson occupation cutoff; fermions fixed at 1"),
-    Option("particles", int, 2, ("fock-density",), "particle number"),
-    Option("positions", int, 50, ("fock-density",), "sample positions"),
-    Option("t", float, 0.0, ("fock-density",), "sample time"),
-    Option("out", str, None, SCENARIOS, "output path; stdout when absent"),
+    Option("block", int, None, "interior block; default min(10, N//4), at least 1"),
+    Option("modes", int, 3, "Fock modes M"),
+    Option("statistics", ("boson", "fermion"), "boson", "particle statistics"),
+    Option("cutoff", int, 4, "boson occupation cutoff; fermions fixed at 1"),
+    Option("particles", int, 2, "particle number"),
+    Option("positions", int, 50, "sample positions"),
+    Option("t", float, 0.0, "sample time"),
+    Option("out", str, None, "output path; stdout when absent"),
 )
 _OPTIONS = {opt.key: opt for opt in OPTIONS}
 
@@ -132,8 +111,9 @@ class RunConfig:
     `options` maps the key of every option the scenario reads to its value,
     with t-end, block and revival's state worked out and the cutoff forced
     to 1 for fermions.
-    `well` is None for fock-algebra, and fock-density's has N = max(2, M).
-    `grid` is None for the scenarios outside GRID.
+    `well` is None where no L is read (fock-algebra); it keeps the default
+    m = 1 where no m is read (elements, commutator), and has N = max(2, M)
+    where no N is read (fock-density).  `grid` is None where no steps are.
     """
 
     well: WellConfig | None
@@ -192,7 +172,8 @@ def _read_argv(argv) -> tuple:
                   "  --config FILE  flat key = value config file; flags override it")
             for opt in OPTIONS:
                 default = "" if opt.default is None else f"; default {opt.default}"
-                where = "all scenarios" if opt.scenarios == SCENARIOS else ", ".join(opt.scenarios)
+                readers = [name for name, (reads, _, _) in SCENARIOS.items() if opt.key in reads]
+                where = "all scenarios" if len(readers) == len(SCENARIOS) else ", ".join(readers)
                 value = "{" + ",".join(opt.kind) + "}" if isinstance(opt.kind, tuple) else "VALUE"
                 print(f"  --{opt.key} {value}  {opt.help}{default} [{where}]")
             raise SystemExit(0)  # the one exit outside the JSON error contract
@@ -206,7 +187,7 @@ def _read_argv(argv) -> tuple:
         if flags[key].startswith("--") and not eq:
             raise ConfigError(f"flag --{key} needs a value", field=key)
     if len(scenarios) != 1 or scenarios[0] not in SCENARIOS:
-        raise ConfigError(f"expected one scenario of {SCENARIOS}, got {scenarios}", field="scenario")
+        raise ConfigError(f"expected one scenario of {tuple(SCENARIOS)}, got {scenarios}", field="scenario")
     return scenarios[0], flags
 
 
@@ -216,8 +197,8 @@ def _require(v: dict, key: str, ok, rule: str) -> None:
 
 
 def _require_range(v: dict, key: str, magnitudes: dict, low: float) -> None:
-    """The one range rule: refuse, naming `key`, any magnitude outside (low, inf)."""
-    bad = [name for name, x in magnitudes.items() if not low < x < math.inf]
+    """The one range rule: refuse, naming `key`, any magnitude whose size is outside [low, inf)."""
+    bad = [name for name, x in magnitudes.items() if not low <= abs(x) < math.inf]
     size = f"N={v['N']}" if "N" in v else f"M={v['modes']}"
     _require(v, key, not bad, f"puts {' and '.join(bad)} out of floating-point range at {size}")
 
@@ -227,37 +208,39 @@ def parse_config(argv) -> RunConfig:
     scenario, flags = _read_argv(sys.argv[1:] if argv is None else argv)
     given = {**(_read_config_file(flags.pop("config")) if "config" in flags else {}), **flags}
     given = {key: _convert(_OPTIONS[key], raw) for key, raw in given.items()}
+    reads, _, table = SCENARIOS[scenario]
     v = {}
     for opt in OPTIONS:
-        if scenario in opt.scenarios:
+        if opt.key in reads:
             if opt.notice and opt.key not in given:
                 log.info("%s not specified; defaulting to %s", opt.key, opt.default)
             v[opt.key] = given.get(opt.key, opt.default)
 
-    scales = ("L", "m", "hbar") if scenario in WELL else ()
+    scales = [key for key in ("L", "m", "hbar") if key in v]
     for key in scales:
-        _require(v, key, 0 < v[key] < math.inf, "must be positive and finite")
+        _require(v, key, _MIN_NORMAL <= v[key] < math.inf, "must be a finite normal float, at least 2**-1022")
+    series = "steps" in v and "state" in v  # spread and ehrenfest
     # sizes first, in exact integers: every magnitude below is formed from checked sizes
-    if scenario in DENSE:
+    if "N" in v:
         _require(v, "N", v["N"] >= 2, "must be at least 2")
         try:
             _check_dense(v["N"])
         except ValueError as e:
             raise ConfigError(str(e), field="N") from None
-    if scenario == "commutator":
+    if "block" in v:
         _require(v, "N", v["N"] >= 4, "must be at least 4 for commutator, whose interior block needs N/4 >= 1")
         if v["block"] is None:
             v["block"] = max(1, min(10, v["N"] // 4))
         _require(v, "block", 1 <= v["block"] and 4 * v["block"] <= v["N"], f"must be in 1..N/4 = {v['N'] / 4:g}")
-    if scenario in GRID:
-        min_steps = 3 if scenario in ("spread", "ehrenfest") else 2  # time derivatives need 3
+    if "steps" in v:
+        min_steps = 3 if series else 2  # time derivatives need 3
         _require(v, "steps", v["steps"] >= min_steps, f"must be at least {min_steps} for {scenario}")
-    if scenario in _TABLE_ROWS:
-        key, width = _TABLE_ROWS[scenario]
+    if table is not None:
+        key, width = table
         size = 8 * width * v[key]
         rule = f"asks for a {-(-size >> 20)} MiB report table, above the {_MAX_DENSE_BYTES >> 20} MiB cap"
         _require(v, key, size <= _MAX_DENSE_BYTES, rule)
-    if scenario in FOCK:
+    if "modes" in v:
         if v["statistics"] == "fermion":
             v["cutoff"] = 1
         _require(v, "modes", v["modes"] >= 1, "must be at least 1")
@@ -268,39 +251,45 @@ def parse_config(argv) -> RunConfig:
             # every cutoff gives at least 2^modes states: blame modes only if it alone breaks the cap
             field = "modes" if v["modes"] >= _MAX_DIMENSION.bit_length() else "cutoff"
             raise ConfigError(str(e), field=field) from None
-    if scenario == "fock-density":
+    if "particles" in v:
         # a boson condensate fills one mode up to the cutoff; fermions take one mode each
         most = v["cutoff"] if v["statistics"] == "boson" else v["modes"]
         _require(v, "particles", 0 <= v["particles"] <= most, f"must be in 0..{most} for {v['statistics']}s")
         _require(v, "positions", v["positions"] >= 2, "must be at least 2")
-    if scenario not in WELL:
+    if "L" not in v:
         return RunConfig(well=None, scenario=scenario, grid=None, options=v)
     # exact, as N <= 4096 past the dense cap; a Fock density evolves only its M <= 15 modes
-    well = WellConfig(L=v["L"], m=v["m"], hbar=v["hbar"], N=v["N"] if scenario in DENSE else max(2, v["modes"]))
-    n, dim = (float(v["modes"]), "M") if scenario in FOCK else (float(well.N), "N")
+    well = WellConfig(**{key: v[key] for key in scales}, N=v["N"] if "N" in v else max(2, v["modes"]))
+    n, dim = (float(well.N), "N") if "N" in v else (float(v["modes"]), "M")
     with np.errstate(all="ignore"):  # a magnitude out of range reads as 0 or inf
-        w = WellConfig(*(np.float64(v[key]) for key in scales), N=well.N)
+        w = WellConfig(**{key: np.float64(v[key]) for key in scales}, N=well.N)
         omega = w.base_frequency
-        sizes = {"the revival time": revival_time(w), "omega_1": omega}
-        if scenario in ("elements", "commutator"):
-            # p/i_kl = k l (4 hbar) / (L (k^2 - l^2)) for k + l odd is largest at k = N, l = N-1, formed from
-            # 4 hbar N(N-1), which bounds every [x, p]_kk / i <= 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3).  At
-            # k = 1, l = N it is the smallest entry for even N, and below the smallest for odd N
-            sizes["the largest p/i entry"] = n * (n - 1) * (4.0 * w.hbar) / (w.L * (2 * n - 1))
-            sizes["the smallest p/i entry"] = n * (4.0 * w.hbar) / (w.L * (n * n - 1))
-        if scenario in ("spread", "ehrenfest"):
+        if "m" in v:
+            sizes = {"the revival time": revival_time(w), "omega_1": omega}
+        else:
+            # without m a run forms x and p/i alone, for k + l odd as _parity_blocks does: x_kl passes
+            # through k l (-8 L) and p/i_kl through k l (4 hbar), at most 8 L N(N-1) and 4 hbar N(N-1); the
+            # latter bounds every [x, p]_kk / i <= 64 hbar N^3 (N-1)^2 / (pi^2 (2N-1)^3).  p/i is largest at
+            # k = N, l = N-1.  At k = 1, l = N each is its smallest entry for even N, below it for odd N
+            sizes = {
+                "the x intermediate 8 L N(N-1)": n * (n - 1) * (8.0 * w.L),
+                "the smallest x entry": n * (8.0 * w.L) / (math.pi**2 * (n * n - 1) ** 2),
+                "the largest p/i entry": n * (n - 1) * (4.0 * w.hbar) / (w.L * (2 * n - 1)),
+                "the smallest p/i entry": n * (4.0 * w.hbar) / (w.L * (n * n - 1)),
+            }
+        if series:
             # <p^2> reaches (hbar pi N / L)^2, and <F> s N^3 with s formed as _wall_force does
             sizes["<p^2>"] = (w.hbar * math.pi * n / w.L) ** 2
             sizes["the wall force"] = w.hbar**2 * math.pi**2 / (w.m * w.L**3) * n**3
         # blame the scale farthest from 1; L enters both squared
         worst = max(scales, key=lambda k: abs(math.log(v[k])) * (2 if k == "L" else 1))
-        _require_range(v, worst, sizes, 0.0)
-        if scenario in GRID and v["t-end"] is None:
+        _require_range(v, worst, sizes, _MIN_NORMAL)
+        if "steps" in v and v["t-end"] is None:
             v["t-end"] = revival_time(well)
         # every evolution phase is an integer up to n^2 times (omega_1 t)
         times = {key: {f"the phase {dim}^2 omega_1 t": n**2 * (omega * v[key])} for key in ("t-start", "t-end", "t")
                  if v.get(key) is not None}
-        if scenario in ("spread", "ehrenfest"):
+        if series:
             for key, late in times.items():
                 late["hbar |t| / 2m"] = w.hbar * abs(v[key]) / (2.0 * w.m)
             # np.gradient's edge stencil (-3/2, 2, -1/2) / h needs 2 / h, and takes up to 4 B / h
@@ -308,19 +297,19 @@ def parse_config(argv) -> RunConfig:
             h = (np.float64(v["t-end"]) - v["t-start"]) / (v["steps"] - 1)
             times["t-end"]["the d/dt stencil's 4 B / h"] = 4.0 * max(0.5, w.L, w.hbar * math.pi * n / w.L) / h
         for key, late in times.items():
-            _require_range(v, key, late, -math.inf)
-        if scenario in GRID:
+            _require_range(v, key, late, 0.0)
+        if "steps" in v:
             for key in ("t-start", "t-end"):
                 error = n**2 * np.spacing(abs(omega * v[key]))
                 rule = f"resolves the phases N^2 omega_1 t only to {error:.3g} rad at N={v['N']}"
                 _require(v, key, error <= _PHASE_RESOLUTION, f"{rule}, above {_PHASE_RESOLUTION:g}")
     grid = None
-    if scenario in GRID:
+    if "steps" in v:
         _require(v, "t-end", v["t-start"] < v["t-end"], f"must exceed t-start = {v['t-start']}")
         grid = TimeGrid(v["t-start"], v["t-end"], v["steps"])
-    if scenario in ("spread", "ehrenfest"):
+    if series:
         _require(v, "state", v["state"], f"is required by {scenario}")
-    if scenario == "revival" and v["state"] is None:
+    if "state" in v and v["state"] is None:  # revival's default packet
         v["state"] = f"gaussian:center={well.L / 2.0!r},width={well.L / 20.0!r}"
     return RunConfig(well=well, scenario=scenario, grid=grid, options=v)
 
@@ -421,8 +410,7 @@ def _run_evolve(rc: RunConfig):
     return list(_EVOLVE_COLUMNS), columns, {"revival_time": revival_time(rc.well)}
 
 
-def _run_series(rc: RunConfig):
-    series_report = spread_report if rc.scenario == "spread" else ehrenfest_report
+def _run_series(series_report, rc: RunConfig):
     report = series_report(_build_state(rc), rc.well, rc.grid)
     return list(report.COLUMNS), list(report.data.T), dict(report.meta)
 
@@ -474,21 +462,31 @@ def _run_fock_algebra(rc: RunConfig):
     return _one_row({**asdict(rep), "statistics": rep.statistics.value}, {"dimension": basis.dimension})
 
 
-_RUNNERS = {
-    "elements": _run_elements,
-    "commutator": _run_commutator,
-    "evolve": _run_evolve,
-    "spread": _run_series,
-    "ehrenfest": _run_series,
-    "revival": _run_revival,
-    "fock-density": _run_fock_density,
-    "fock-algebra": _run_fock_algebra,
+# One row per scenario: the keys of the options it reads, its runner, and the option that sets the
+# rows of its float64 report table, with the table's width.  Every rule of parse_config applies
+# wherever its options are read, and --help and the JSON echo follow the keys too.  The lambdas
+# look up spread_report and ehrenfest_report when they run, as every other call does.
+SCENARIOS = {
+    "elements": (("L", "hbar", "N", "format", "out"), _run_elements, None),
+    "commutator": (("L", "hbar", "N", "format", "block", "out"), _run_commutator, None),
+    "evolve": (("L", "m", "hbar", "N", "t-start", "t-end", "steps", "format", "out"),
+               _run_evolve, ("steps", len(_EVOLVE_COLUMNS))),
+    "spread": (("L", "m", "hbar", "N", "t-start", "t-end", "steps", "format", "state", "out"),
+               lambda rc: _run_series(spread_report, rc), ("steps", len(RunReport.COLUMNS))),
+    "ehrenfest": (("L", "m", "hbar", "N", "t-start", "t-end", "steps", "format", "state", "out"),
+                  lambda rc: _run_series(ehrenfest_report, rc), ("steps", len(RunReport.COLUMNS))),
+    "revival": (("L", "m", "hbar", "N", "format", "state", "out"), _run_revival, None),
+    # reads t, m and hbar, which its occupation eigenstates cannot feel, while the bench passes --t
+    "fock-density": (("L", "m", "hbar", "format", "modes", "statistics", "cutoff", "particles", "positions", "t",
+                      "out"), _run_fock_density, ("positions", len(_DENSITY_COLUMNS))),
+    "fock-algebra": (("format", "modes", "statistics", "cutoff", "out"), _run_fock_algebra, None),  # its basis alone
 }
 
 
 def run(rc: RunConfig) -> int:
     """Execute a validated RunConfig; write its report, a block of rows at a time; return the exit status."""
-    names, columns, diagnostics = _RUNNERS[rc.scenario](rc)
+    _, runner, _ = SCENARIOS[rc.scenario]
+    names, columns, diagnostics = runner(rc)
     # every check of the report runs here, before its first piece of text is formed
     if rc.options["format"] == "json":
         pieces = _json_pieces(rc.echo, names, columns, diagnostics)

@@ -40,6 +40,7 @@ _GL_HALF_WEIGHTS = (
 # One dense complex N x N matrix: 256 MiB, so N <= 4096.  Builders refuse
 # more before allocating.
 _MAX_DENSE_BYTES = 256 * 2**20
+_MIN_NORMAL = 2.0**-1022  # the least positive normal float64; WellConfig's scales are at least this
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class WellConfig:
 
     def __post_init__(self):
         for name, value in (("well width L", self.L), ("mass m", self.m), ("hbar", self.hbar)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if not _MIN_NORMAL <= value < math.inf:
+                raise ValueError(f"{name} must be a finite normal float, at least 2**-1022, got {value}")
         if int(self.N) != self.N or self.N < 2:
             raise ValueError(f"truncation dimension N must be an integer >= 2, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
