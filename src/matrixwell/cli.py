@@ -389,7 +389,7 @@ def _run_elements(rc: RunConfig):
         (modes, np.repeat(mode_slots, n)),
         (modes, np.tile(mode_slots, n)),
         (np.r_[0.0, rc.well.L / 2.0, b.ravel()], x.ravel()),
-        (np.zeros(1), np.zeros(n * n, np.int32)),  # p is imaginary
+        (np.zeros(1), np.broadcast_to(np.int32(0), (n * n,))),  # p is imaginary; a zero-stride index
         (np.r_[0.0, q.ravel()], p_over_i.ravel()),
     ]
     return ["k", "l", "x", "p_re", "p_im"], columns, {"dim": n}

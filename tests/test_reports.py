@@ -1,11 +1,17 @@
 """The column renderer against the row-at-a-time oracle renderer.
 
-`reports.render_csv`/`render_json` format each column once per distinct
-value, of the values of a (values, index) column or of a plain column
-within each block of rows; `oracles.row_render_csv`/`row_render_json`
-format every cell on its own, as the reports were written before.  The two
-must agree byte for byte, whatever the block size.  The CLI writes the same
-text a block at a time, and the guards at the end hold it to that.
+`reports.render_csv`/`render_json` turn each column's distinct values, of
+a (values, index) column or of a plain column within each block of rows,
+into a table of fixed-width UTF-8 bytes padded with NUL bytes, formatted
+by one `%` per chunk of values, and gather every column's table into one
+structured array per block, whose bytes less the NUL padding are the text.
+`oracles.row_render_csv`/`row_render_json` format every cell on its own,
+as the reports were written before.  The two must agree byte for byte,
+whatever the block size.  A string cell holding a NUL is refused, since
+the NUL would vanish with the padding.  The CLI writes the same text a
+block at a time, and the guards at the end hold it to that and to its
+`tracemalloc` peaks: 17.6 MiB for `elements` at N=600 in JSON, and 1.83
+(CSV) and 2.08 (JSON) float64 tables for a 20 000-step `spread`.
 """
 
 import io
@@ -31,7 +37,7 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310, 1e300]),
 )
 INTS = st.integers(-(2**63), 2**63 - 1)
-# numpy's fixed-width strings drop trailing NUL characters
+# a NUL is refused (test_nul_in_string_cell_refused)
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
 
 
@@ -115,9 +121,41 @@ def test_factored_and_plain_columns_mix():
     assert "-0" not in render_json({}, ["b"], [(values, index)], {})
 
 
+@pytest.mark.parametrize("column", [np.array([]), (np.array([]), np.array([], np.int32)),
+                                    (np.array([1.5, -2.0]), np.array([], np.int32))], ids=["plain", "pair", "unused"])
+def test_empty_column(column):
+    assert render_csv(["a"], [column]) == row_render_csv(["a"], [])
+    assert render_json({}, ["a"], [column], {}) == row_render_json({}, ["a"], [], {})
+
+
 def test_signed_index_on_strings_refused():
     with pytest.raises(TypeError, match="string column"):
         render_csv(["s"], [(np.array(["a", "b"]), np.array([0, -1]))])
+
+
+@pytest.mark.parametrize("values", [np.array([-2.2250738585072014e-308, -5e-324, 1.7976931348623157e308]),
+                                    np.array([-(2**63), 2**63 - 1]), np.array([0, 2**64 - 1], np.uint64)],
+                         ids=["float", "int64", "uint64"])
+def test_longest_texts_fill_their_fixed_width(values):
+    """The longest text of each kind, plain and negated: a 17-digit float with a three-digit negative
+    exponent, int64's minimum and uint64's maximum."""
+    index, scalars = np.array([i for j in range(len(values)) for i in (j, -j)]), values.tolist()
+    cells = [[scalars[i] if i >= 0 else -scalars[-i]] for i in index]
+    assert render_csv(["a", "b"], [index, (values, index)]) == row_render_csv(
+        ["a", "b"], [[int(i), *c] for i, c in zip(index, cells)])
+    assert render_json({}, ["a"], [values], {}) == row_render_json({}, ["a"], [[v] for v in scalars], {})
+    assert render_json({}, ["b"], [(values, index)], {}) == row_render_json({}, ["b"], cells, {})
+
+
+@pytest.mark.parametrize("pieces", [lambda c: reports._csv_pieces(["s"], [c]),
+                                    lambda c: reports._json_pieces({}, ["s"], [c], {})], ids=["csv", "json"])
+@pytest.mark.parametrize("column", [["a\0"], ["\0b", "c"], np.array(["x", "a\0b"]), (["a\0"], np.array([0, 0]))],
+                         ids=["trailing", "leading", "array", "pair"])
+def test_nul_in_string_cell_refused(pieces, column):
+    """The text drops the NUL padding of its byte tables, and numpy's `U` dtype a trailing NUL, so a
+    NUL in a string cell is refused before the first piece of text exists."""
+    with pytest.raises(ValueError, match="NUL"):
+        pieces(column)
 
 
 def test_factored_column_checks():
@@ -257,16 +295,18 @@ def _traced_peak(argv) -> int:
 
 
 def test_elements_footprint_at_n_600(tmp_path):
-    """30.2 MiB: the distinct texts of B and Q, and five int32 index matrices; the whole JSON text and
-    its cell list took it to 52.2 MiB."""
+    """17.6 MiB: the byte tables of B and Q, the negated copy of Q's for p/i, and four int32 index
+    matrices (p_re's is zero-stride); 30.2 MiB with the distinct texts as Python strings and five index
+    matrices, and 52.2 MiB with the whole JSON text and its cell list."""
     peak = _traced_peak(["elements", "--N", "600", "--format", "json", "--out", str(tmp_path / "e.json")])
-    assert peak <= 36 * 2**20
+    assert peak <= 24 * 2**20
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_series_footprint_within_three_float_tables(fmt, tmp_path):
-    """2.0 (CSV) and 2.55 (JSON) times the float64 table at 20 000 steps; 5.7 and 6.8 with the whole text."""
+def test_series_footprint_within_2_7_float_tables(fmt, tmp_path):
+    """1.83 (CSV) and 2.08 (JSON) times the float64 table at 20 000 steps; 2.0 and 2.56 with each block's
+    cells as Python strings, and 5.7 and 6.8 with the whole text."""
     steps = 20000
     argv = ["spread", "--N", "8", "--state", "eigen:1", "--steps", str(steps), "--format", fmt]
     peak = _traced_peak([*argv, "--out", str(tmp_path / f"s.{fmt}")])
-    assert peak <= 3 * 8 * len(RunReport.COLUMNS) * steps
+    assert peak <= 2.7 * 8 * len(RunReport.COLUMNS) * steps
